@@ -5,7 +5,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_bench::trees::random_trees;
-use er_parallel::{run_er_threads_with, ErParallelConfig, ErThreadsResult, Speculation};
+use er_parallel::{
+    run_er_threads_exec, ErParallelConfig, ErThreadsResult, Speculation, ThreadsConfig,
+};
 use problem_heap::CostModel;
 use search_serial::SelectivityConfig;
 use std::hint::black_box;
@@ -24,7 +26,14 @@ fn r1_config() -> ErParallelConfig {
 /// Runs R1 once and checks the counter invariants of the batched design.
 fn checked_run(threads: usize, batch: usize) -> ErThreadsResult {
     let r1 = &random_trees()[0];
-    let r = run_er_threads_with(&r1.root, r1.depth, threads, batch, &r1_config());
+    let r = run_er_threads_exec(
+        &r1.root,
+        r1.depth,
+        threads,
+        &r1_config(),
+        ThreadsConfig::fixed_batch(batch),
+    )
+    .expect("unlimited run cannot abort");
     let c = r.counters();
     assert_eq!(
         c.jobs_executed, c.outcomes_applied,

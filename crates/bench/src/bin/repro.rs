@@ -80,8 +80,9 @@ use er_bench::experiments::{
     serial_reference, sweep_rows, ErCurve, PROCESSOR_COUNTS,
 };
 use er_bench::trees::{degree_label, othello_trees, random_trees};
+use gametree::Window;
 use problem_heap::CostModel;
-use search_serial::SelectivityConfig;
+use search_serial::{Hooks, SelectivityConfig};
 
 fn save_json<T: er_bench::json::ToJson>(name: &str, value: &T) {
     fs::create_dir_all("results").expect("create results/");
@@ -503,16 +504,14 @@ fn ordering() {
     // megabytes however deep the aspiration driver re-searches.
     const EXPORT_RING_CAPACITY: usize = 2048;
     let tracer = trace::Tracer::with_capacity(EXPORT_RING_CAPACITY);
-    let traced = er_parallel::run_er_threads_id_asp_trace_tt(
+    let traced = er_parallel::run_er_threads_id(
         &o1.root,
         o1.depth,
         2,
         &cfg,
         er_parallel::ThreadsConfig::default(),
-        &table,
         er_parallel::AspirationConfig::narrow(DYN_ORDERING_DELTA_TIGHT),
-        &er_parallel::SearchControl::unlimited(),
-        &tracer,
+        Hooks::default().with_tt(&table).with_tracer(&tracer),
     );
     let data = tracer.snapshot();
     let report = trace::SearchReport::from_data(&data);
@@ -1257,14 +1256,14 @@ fn mech() {
     backends.push(("er-sim".to_string(), 4, sim.value));
     let tracer = trace::Tracer::new();
     for &k in &workers {
-        let r = er_parallel::run_er_threads_trace(
+        let r = er_parallel::run_er_threads_with(
             &o1.root,
             o1.depth,
+            Window::FULL,
             k,
             &cfg,
             er_parallel::ThreadsConfig::default(),
-            &er_parallel::SearchControl::unlimited(),
-            &tracer,
+            Hooks::default().with_tracer(&tracer),
         )
         .expect("unlimited-control run cannot abort");
         backends.push(("er-threads".to_string(), k, r.value));
@@ -1273,15 +1272,8 @@ fn mech() {
             pin: Some(er_parallel::PinPolicy::Compact),
             ..er_parallel::ThreadsConfig::default()
         };
-        let rp = er_parallel::run_er_threads_ctl(
-            &o1.root,
-            o1.depth,
-            k,
-            &cfg,
-            pinned,
-            &er_parallel::SearchControl::unlimited(),
-        )
-        .expect("unlimited-control run cannot abort");
+        let rp = er_parallel::run_er_threads_exec(&o1.root, o1.depth, k, &cfg, pinned)
+            .expect("unlimited-control run cannot abort");
         backends.push(("er-threads-pinned".to_string(), k, rp.value));
     }
     println!("\n{:<18} {:>7} {:>8}", "backend", "workers", "value");

@@ -654,7 +654,7 @@ fn sim_id_run<P: GamePosition>(
     ordering: bool,
     delta: i32,
 ) -> SimIdRun {
-    use er_parallel::run_er_sim_window_ord;
+    use er_parallel::{run_er_sim_with, Hooks};
     use gametree::Window;
     use search_serial::OrderingTables;
 
@@ -681,9 +681,16 @@ fn sim_id_run<P: GamePosition>(
         };
         let run = |w: Window, out: &mut SimIdRun| {
             let r = if ordering {
-                run_er_sim_window_ord(root, depth, w, workers, cfg, (), &tables)
+                run_er_sim_with(
+                    root,
+                    depth,
+                    w,
+                    workers,
+                    cfg,
+                    Hooks::default().with_ord(&tables),
+                )
             } else {
-                run_er_sim_window_ord(root, depth, w, workers, cfg, (), ())
+                run_er_sim_with(root, depth, w, workers, cfg, Hooks::default())
             };
             out.nodes += r.stats.nodes();
             out.killer_hits += r.stats.killer_hits;
@@ -818,7 +825,7 @@ fn threads_row<P: GamePosition>(
     threads: usize,
     batch: usize,
 ) -> ThreadsRow {
-    use er_parallel::run_er_threads_with;
+    use er_parallel::{run_er_threads_exec, ThreadsConfig};
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -826,7 +833,14 @@ fn threads_row<P: GamePosition>(
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
-    let r = run_er_threads_with(root, depth, threads, batch, &cfg);
+    let r = run_er_threads_exec(
+        root,
+        depth,
+        threads,
+        &cfg,
+        ThreadsConfig::fixed_batch(batch),
+    )
+    .expect("unlimited run cannot abort");
     let exact = alphabeta(root, depth, order).value;
     assert_eq!(
         r.value, exact,
@@ -1112,7 +1126,7 @@ fn deadline_anytime_row<P: GamePosition>(
     threads: usize,
     budget: Option<std::time::Duration>,
 ) -> DeadlineRow {
-    use er_parallel::{run_er_threads_id, SearchControl, ThreadsConfig};
+    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl, ThreadsConfig};
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1130,7 +1144,8 @@ fn deadline_anytime_row<P: GamePosition>(
         threads,
         &cfg,
         ThreadsConfig::default(),
-        &ctl,
+        AspirationConfig::OFF,
+        Hooks::default().with_ctl(&ctl),
     );
     let elapsed_ms = id.elapsed.as_secs_f64() * 1e3;
     let grace_ms = match budget {
@@ -1154,7 +1169,9 @@ fn deadline_anytime_row<P: GamePosition>(
 }
 
 fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> DeadlineRow {
-    use er_parallel::{run_er_threads_exec, run_er_threads_id, SearchControl, ThreadsConfig};
+    use er_parallel::{
+        run_er_threads_exec, run_er_threads_id, AspirationConfig, Hooks, ThreadsConfig,
+    };
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1176,7 +1193,8 @@ fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) ->
         threads,
         &cfg,
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
+        AspirationConfig::OFF,
+        Hooks::default(),
     );
     assert_eq!(
         id.value, fixed.value,
@@ -1285,7 +1303,11 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
     threads: usize,
     bits: u32,
 ) -> TtRow {
-    use er_parallel::{run_er_sim_tt, run_er_threads_tt, run_er_threads_with, DEFAULT_BATCH};
+    use er_parallel::{
+        run_er_sim_with, run_er_threads_exec, run_er_threads_with, Hooks, ThreadsConfig,
+        DEFAULT_BATCH,
+    };
+    use gametree::Window;
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -1301,11 +1323,25 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             (r.value, r.stats, tt::TtStats::default(), 0.0)
         }
         ("sim", _) => {
-            let r = run_er_sim_tt(root, depth, threads, &cfg, &table);
+            let r = run_er_sim_with(
+                root,
+                depth,
+                Window::FULL,
+                threads,
+                &cfg,
+                Hooks::default().with_tt(&table),
+            );
             (r.value, r.stats, table.stats(), 0.0)
         }
         (_, 0) => {
-            let r = run_er_threads_with(root, depth, threads, DEFAULT_BATCH, &cfg);
+            let r = run_er_threads_exec(
+                root,
+                depth,
+                threads,
+                &cfg,
+                ThreadsConfig::fixed_batch(DEFAULT_BATCH),
+            )
+            .expect("unlimited run cannot abort");
             (
                 r.value,
                 r.stats,
@@ -1314,7 +1350,16 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             )
         }
         _ => {
-            let r = run_er_threads_tt(root, depth, threads, DEFAULT_BATCH, &cfg, &table);
+            let r = run_er_threads_with(
+                root,
+                depth,
+                Window::FULL,
+                threads,
+                &cfg,
+                ThreadsConfig::fixed_batch(DEFAULT_BATCH),
+                Hooks::default().with_tt(&table),
+            )
+            .expect("unlimited run cannot abort");
             (
                 r.value,
                 r.stats,
@@ -1453,7 +1498,8 @@ pub struct TraceRow {
 /// untraced runs agree with serial alpha-beta, and collapses each run's
 /// snapshot into a [`TraceRow`].
 pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
-    use er_parallel::{run_er_threads_exec, run_er_threads_trace, SearchControl, ThreadsConfig};
+    use er_parallel::{run_er_threads_exec, run_er_threads_with, Hooks, ThreadsConfig};
+    use gametree::Window;
     use trace::{EventKind, SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
     let cfg = ErParallelConfig {
@@ -1468,14 +1514,14 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
         .iter()
         .map(|&threads| {
             let tracer = Tracer::new();
-            let traced = run_er_threads_trace(
+            let traced = run_er_threads_with(
                 &spec.root,
                 spec.depth,
+                Window::FULL,
                 threads,
                 &cfg,
                 ThreadsConfig::default(),
-                &SearchControl::unlimited(),
-                &tracer,
+                Hooks::default().with_tracer(&tracer),
             )
             .expect("unlimited traced run cannot abort");
             let plain = run_er_threads_exec(
@@ -1585,9 +1631,9 @@ pub struct ChromeExport {
 /// margins.
 pub fn chrome_export(threads: usize) -> ChromeExport {
     use er_parallel::{
-        run_er_threads_id_asp_trace_tt, run_er_threads_id_trace_tt, AspirationConfig, BatchPolicy,
-        SearchControl, ThreadsConfig,
+        run_er_threads_id, AspirationConfig, BatchPolicy, Hooks, SearchControl, ThreadsConfig,
     };
+    use gametree::Window;
     use std::time::Duration;
     use trace::{SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
@@ -1622,16 +1668,16 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         // with (and may be partly overwritten by) the R1 run's, but
         // AspirationResearch and QExtension live on the driver row,
         // whose handful of instants the ring never evicts.
-        let _ = run_er_threads_id_asp_trace_tt(
+        let _ = run_er_threads_id(
             &o1.root,
             3,
             threads,
             &sel_cfg,
             ThreadsConfig::default(),
-            &tt::TranspositionTable::with_bits(14),
             AspirationConfig::narrow(1),
-            &SearchControl::unlimited(),
-            &tracer,
+            Hooks::default()
+                .with_tt(&tt::TranspositionTable::with_bits(14))
+                .with_tracer(&tracer),
         );
         // StealHit is the rarest kind on a small host: a successful
         // steal needs a thief scheduled against a victim whose deque is
@@ -1651,14 +1697,14 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
             ..ThreadsConfig::default()
         };
         for _ in 0..STEAL_ROUNDS {
-            let _ = er_parallel::run_er_threads_trace(
+            let _ = er_parallel::run_er_threads_with(
                 &o1.root,
                 5,
+                Window::FULL,
                 threads,
                 &steal_cfg,
                 steal_exec,
-                &SearchControl::unlimited(),
-                &tracer,
+                Hooks::default().with_tracer(&tracer),
             );
             let hit = tracer
                 .snapshot()
@@ -1670,15 +1716,17 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         }
         let table = tt::TranspositionTable::with_bits(16);
         let ctl = SearchControl::with_budget(Duration::from_millis(budget));
-        let _ = run_er_threads_id_trace_tt(
+        let _ = run_er_threads_id(
             &spec.root,
             spec.depth,
             threads,
             &cfg,
             ThreadsConfig::default(),
-            &table,
-            &ctl,
-            &tracer,
+            AspirationConfig::OFF,
+            Hooks::default()
+                .with_tt(&table)
+                .with_ctl(&ctl)
+                .with_tracer(&tracer),
         );
         let data = tracer.snapshot();
         missing = data.kinds_missing();

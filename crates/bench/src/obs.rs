@@ -25,9 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engine_server::AnyPos;
-use er_parallel::{
-    run_er_threads_window_ord_metrics, ErParallelConfig, SearchControl, ThreadsConfig,
-};
+use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks, ThreadsConfig};
 use gametree::Window;
 use match_harness::{run_match_with, EngineSpec, Family, MatchConfig};
 use metrics::{EngineMetrics, MetricsAccess};
@@ -129,22 +127,17 @@ impl_to_json!(ObsBench {
 /// gate needs the mandatory-only schedule, which is exactly
 /// reproducible at one thread.
 fn probe<M: MetricsAccess>(pos: &AnyPos, depth: u32, mx: M) -> (i32, u64, Duration) {
-    let ctl = SearchControl::unlimited();
     let mut cfg = ErParallelConfig::random_tree(3);
     cfg.spec = er_parallel::Speculation::NONE;
     let t0 = Instant::now();
-    let r = run_er_threads_window_ord_metrics(
+    let r = run_er_threads_with(
         pos,
         depth,
         Window::FULL,
         1,
         &cfg,
         ThreadsConfig::default(),
-        (),
-        &ctl,
-        (),
-        (),
-        mx,
+        Hooks::default().with_metrics(mx),
     )
     .expect("an unlimited probe search cannot abort");
     (r.value.get(), r.stats.nodes(), t0.elapsed())

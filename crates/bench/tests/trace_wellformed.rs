@@ -2,22 +2,23 @@
 //! checked here with the trace crate's dependency-free RFC 8259 linter,
 //! so CI needs no jq.
 
-use er_parallel::{run_er_threads_trace, ErParallelConfig, SearchControl, ThreadsConfig};
+use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks, ThreadsConfig};
 use gametree::random::RandomTreeSpec;
+use gametree::Window;
 use trace::Tracer;
 
 #[test]
 fn chrome_export_of_a_threaded_run_is_valid_json() {
     let root = RandomTreeSpec::new(3, 4, 7).root();
     let tracer = Tracer::new();
-    let r = run_er_threads_trace(
+    let r = run_er_threads_with(
         &root,
         7,
+        Window::FULL,
         2,
         &ErParallelConfig::random_tree(4),
         ThreadsConfig::default(),
-        &SearchControl::unlimited(),
-        &tracer,
+        Hooks::default().with_tracer(&tracer),
     )
     .expect("unlimited traced run cannot abort");
     assert!(r.stats.nodes() > 0);

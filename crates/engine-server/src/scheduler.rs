@@ -60,7 +60,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_parallel::{
-    run_er_threads_window_ord_metrics, AbortReason, ErParallelConfig, IdStepper, SearchControl,
+    run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
     ThreadsConfig,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
@@ -392,19 +392,15 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         let depth = sess.stepper.next_depth();
         let ord = sess.ordering.then_some(&self.ord);
         let mx = self.metrics.as_deref();
-        let (pos, threads, cfg, exec, table) = (
-            &sess.pos,
-            self.cfg.threads,
-            &sess.cfg,
-            self.cfg.exec,
-            &self.table,
-        );
+        let (pos, threads, cfg, exec) = (&sess.pos, self.cfg.threads, &sess.cfg, self.cfg.exec);
+        let hooks = Hooks::default().with_tt(&self.table).with_metrics(mx);
         let step = match &sess.tracer {
-            Some(t) => sess.stepper.step_with(depth, &ctl, Some(t), |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, exec, table, c, t, ord, mx)
+            Some(t) => sess.stepper.step_with(depth, &ctl, t, |d, w, c| {
+                let hooks = hooks.with_ctl(c).with_tracer(t);
+                slice_search(pos, d, w, threads, cfg, exec, hooks, ord)
             }),
-            None => sess.stepper.step_with(depth, &ctl, None, |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, exec, table, c, (), ord, mx)
+            None => sess.stepper.step_with(depth, &ctl, (), |d, w, c| {
+                slice_search(pos, d, w, threads, cfg, exec, hooks.with_ctl(c), ord)
             }),
         };
         sess.slices += 1;
@@ -474,9 +470,10 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
     }
 }
 
-/// One windowed fixed-depth search — the body of every slice. Generic over
-/// the trace and metrics handles; the optional shared ordering tables are
-/// erased here so the caller needs no type-level branching.
+/// One windowed fixed-depth search — the body of every slice, under the
+/// slice's table, control, trace and metrics hooks. The optional shared
+/// ordering tables are erased here so the caller needs no type-level
+/// branching.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: MetricsAccess>(
     pos: &P,
@@ -485,29 +482,12 @@ pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: Metrics
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-    tr: R,
+    hooks: Hooks<&TranspositionTable, &SearchControl, R, (), M>,
     ord: Option<&OrderingTables>,
-    mx: M,
 ) -> Result<(Value, SearchStats), AbortReason> {
     match ord {
-        Some(o) => run_er_threads_window_ord_metrics(
-            pos, depth, window, threads, cfg, exec, table, ctl, tr, o, mx,
-        ),
-        None => run_er_threads_window_ord_metrics(
-            pos,
-            depth,
-            window,
-            threads,
-            cfg,
-            exec,
-            table,
-            ctl,
-            tr,
-            (),
-            mx,
-        ),
+        Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks.with_ord(o)),
+        None => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks),
     }
     .map(|r| (r.value, r.stats))
     .map_err(|e| e.reason)

@@ -49,7 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
-use er_parallel::{AspirationConfig, IdStepper, SearchControl, ThreadsConfig};
+use er_parallel::{AspirationConfig, Hooks, IdStepper, SearchControl, ThreadsConfig};
 use gametree::{GamePosition, SearchStats, Value};
 use metrics::EngineMetrics;
 use search_serial::alphabeta;
@@ -319,7 +319,7 @@ fn search<W: Write + Send>(
         // completes inside the window — a fail-low pass ranks no child
         // above alpha, so its argmax would be noise.
         let mut candidate = best_index.unwrap_or(0);
-        let step = stepper.step_with(depth, ctl, None, |d, w, c| {
+        let step = stepper.step_with(depth, ctl, (), |d, w, c| {
             // Root split: the parallel region stores no root table entry,
             // so the driver owns `bestmove` by searching each child under
             // the negamax window, previous best first.
@@ -338,11 +338,8 @@ fn search<W: Write + Send>(
                     cfg.threads,
                     &er_cfg(pos),
                     ThreadsConfig::default(),
-                    table,
-                    c,
-                    (),
+                    Hooks::default().with_tt(table).with_ctl(c).with_metrics(m),
                     None,
-                    m,
                 )?;
                 stats.merge(&s);
                 let v = -v;

@@ -5,12 +5,12 @@ use std::time::{Duration, Instant};
 
 use engine_server::{AnyPos, GameClock, TimeControl, TimeManager};
 use er_parallel::{
-    run_er_threads_window_ord_metrics, AspirationConfig, ErParallelConfig, IdStepper,
-    SearchControl, ThreadsConfig,
+    run_er_threads_with, AspirationConfig, ErParallelConfig, Hooks, IdStepper, SearchControl,
+    ThreadsConfig,
 };
-use gametree::{GamePosition, Value};
+use gametree::{GamePosition, Value, Window};
 use metrics::EngineMetrics;
-use search_serial::{alphabeta, alphabeta_ctl, OrderingTables};
+use search_serial::{alphabeta, alphabeta_with, OrderingTables};
 use tt::{TranspositionTable, TtStats};
 
 /// Which search back-end a [`Player`] runs each move.
@@ -192,7 +192,7 @@ impl Player {
             // iteration lands inside the window: a fail-low pass ranks no
             // child above alpha, and its argmax would be noise.
             let mut candidate = best_index;
-            let step = stepper.step_with(depth, step_ctl, None, |d, w, c| {
+            let step = stepper.step_with(depth, step_ctl, (), |d, w, c| {
                 let mut stats = gametree::SearchStats::new();
                 let mut window = w;
                 let mut best: Option<(Value, usize)> = None;
@@ -201,18 +201,18 @@ impl Player {
                     order[..=at].rotate_right(1);
                 }
                 for &i in &order {
-                    let r = run_er_threads_window_ord_metrics(
+                    let r = run_er_threads_with(
                         &kids[i],
                         d - 1,
                         window.negate(),
                         threads,
                         &cfg,
                         ThreadsConfig::default(),
-                        &*table,
-                        c,
-                        (),
-                        ord,
-                        mx,
+                        Hooks::default()
+                            .with_tt(&*table)
+                            .with_ctl(c)
+                            .with_ord(ord)
+                            .with_metrics(mx),
                     )
                     .map_err(|e| e.reason)?;
                     nodes += r.stats.nodes();
@@ -262,7 +262,13 @@ impl Player {
         'deepening: for depth in 1..=self.max_depth {
             let mut best: Option<(Value, usize)> = None;
             for (i, kid) in kids.iter().enumerate() {
-                let r = alphabeta_ctl(kid, depth - 1, policy, &ctl);
+                let r = alphabeta_with(
+                    kid,
+                    depth - 1,
+                    Window::FULL,
+                    policy,
+                    Hooks::default().with_ctl(&ctl),
+                );
                 nodes += r.stats.nodes();
                 if r.aborted.is_some() {
                     break 'deepening;

@@ -18,8 +18,8 @@ use std::cmp::Reverse;
 
 use gametree::{GamePosition, SearchStats, Value};
 use problem_heap::{simulate, CostModel, HeapWorker, StableQueue, TakenWork};
-use search_serial::alphabeta::alphabeta_window_with;
 use search_serial::ordering::{ordered_children_indexed, splice_hint, OrderPolicy};
+use search_serial::{alphabeta_with, Hooks};
 use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
 
 /// MWF node type (no-deep-cutoff classification: types 1 and 2 only).
@@ -271,7 +271,13 @@ impl<P: GamePosition, T: TtAccess<P>> HeapWorker for MwfWorker<P, T> {
                 // Frontier 1-node: one serial alpha-beta unit with the
                 // current shallow bound.
                 let w = gametree::Window::new(Value::NEG_INF, self.beta(id));
-                let r = alphabeta_window_with(&n.pos, n.depth, w, self.order, self.tt);
+                let r = alphabeta_with(
+                    &n.pos,
+                    n.depth,
+                    w,
+                    self.order,
+                    Hooks::default().with_tt(self.tt),
+                );
                 self.totals.merge(&r.stats);
                 cost = self.cost.serial_ticks(&r.stats);
                 job = Job::Serial(id, r.value);
@@ -286,7 +292,13 @@ impl<P: GamePosition, T: TtAccess<P>> HeapWorker for MwfWorker<P, T> {
                 // Shallow window: the child is refuted when its value
                 // reaches -P.value; no deeper bounds are inherited.
                 let w = gametree::Window::new(Value::NEG_INF, -n.value);
-                let r = alphabeta_window_with(&child_pos, n.depth - 1, w, self.order, self.tt);
+                let r = alphabeta_with(
+                    &child_pos,
+                    n.depth - 1,
+                    w,
+                    self.order,
+                    Hooks::default().with_tt(self.tt),
+                );
                 self.totals.merge(&r.stats);
                 cost = self.cost.serial_ticks(&r.stats);
                 let c = self.spawn(id, MwfKind::Two);

@@ -8,9 +8,9 @@
 //! between processors. This quantifies how much the window sharing of
 //! every real algorithm (tree-splitting onward) is actually worth.
 
-use gametree::{GamePosition, SearchStats, Value, Window};
+use gametree::{GamePosition, SearchStats, Value};
 use problem_heap::CostModel;
-use search_serial::alphabeta::alphabeta_window;
+use search_serial::alphabeta;
 use search_serial::ordering::{ordered_children, OrderPolicy};
 
 /// Result of a naive root-partition run.
@@ -56,7 +56,7 @@ pub fn run_root_split<P: GamePosition>(
     let mut loads = vec![cost.expand; k];
     let mut value = Value::NEG_INF;
     for (i, child) in kids.iter().enumerate() {
-        let r = alphabeta_window(child, depth - 1, Window::FULL, order);
+        let r = alphabeta(child, depth - 1, order);
         stats.merge(&r.stats);
         loads[i % k] += cost.serial_ticks(&r.stats);
         value = value.max(-r.value);

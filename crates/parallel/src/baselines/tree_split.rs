@@ -20,8 +20,8 @@ use std::collections::BinaryHeap;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::CostModel;
-use search_serial::alphabeta::alphabeta_window;
 use search_serial::ordering::{ordered_children, OrderPolicy};
+use search_serial::{alphabeta_with, Hooks};
 
 /// Shape of a complete processor tree: every master has `branching`
 /// slaves, and `height` is the number of master levels above the leaf
@@ -93,7 +93,7 @@ fn split<P: GamePosition>(
 ) -> (Value, u64) {
     if height == 0 || depth == 0 {
         // Leaf processor: plain serial alpha-beta.
-        let r = alphabeta_window(pos, depth, window, ctx.order);
+        let r = alphabeta_with(pos, depth, window, ctx.order, Hooks::default());
         ctx.stats.merge(&r.stats);
         return (r.value, start + ctx.cost.serial_ticks(&r.stats));
     }

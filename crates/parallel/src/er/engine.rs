@@ -25,11 +25,12 @@ use std::sync::Arc;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::{simulate, HeapWorker, StableQueue, TakenWork};
-use search_serial::control::CtlAccess;
-use search_serial::er::{er_eval_refute_ord, er_search_window_ord, ErConfig};
+use search_serial::control::CtlHook;
+use search_serial::er::{er_eval_refute_with, er_search_with, ErConfig};
 use search_serial::ordering::{
     ordered_children_indexed, ordered_children_ranked, splice_hint, OrdAccess, OrderPolicy,
 };
+use search_serial::Hooks;
 use tt::{Bound, TtAccess};
 
 use super::{ErParallelConfig, ErRunResult};
@@ -143,30 +144,30 @@ pub enum Select {
 /// borrow so the simulator can point straight into the tree and the
 /// threaded back-end can pass a clone made under the lock.
 ///
-/// `tt` is the (possibly absent) shared transposition table: all table
+/// `hooks.tt` is the (possibly absent) shared transposition table: all table
 /// traffic happens here, outside the heap lock. Probes can only use the
 /// window-free part of an entry — an equal-depth `Exact` value (the
 /// dynamic alpha-beta window lives in the tree, which this function must
 /// not read) — plus the stored best move as an ordering hint; stores come
 /// from the serial-frontier searches and freshly evaluated terminals.
 ///
-/// `ctl` is the (possibly absent) abort handle: `()` for the simulator
-/// (byte-identical to the pre-control code), a `&CtlProbe` in the threaded
-/// back-end so a deadline is observed *inside* long serial-frontier
-/// refutation batches. A tripped control surfaces as [`Outcome::Aborted`].
+/// `hooks.ctl` is the (possibly absent) abort handle: `()` for the simulator
+/// (byte-identical to the pre-control code), the worker's `&CtlProbe` in
+/// the threaded back-end so a deadline is observed *inside* long
+/// serial-frontier refutation batches. A tripped control surfaces as
+/// [`Outcome::Aborted`].
 ///
-/// `ord` is the (possibly absent) shared killer/history handle: `()` keeps
+/// `hooks.ord` is the (possibly absent) shared killer/history handle: `()` keeps
 /// every path bit-identical to the ordering-free engine; an
 /// `&OrderingTables` ranks non-e-node children dynamically and collects
 /// cutoff credit from the serial frontier.
-pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
+pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlHook, O: OrdAccess>(
     task: &Task,
     pos: Option<&P>,
     cfg: ErConfig,
-    tt: T,
-    ctl: C,
-    ord: O,
+    hooks: Hooks<T, C, (), O>,
 ) -> Outcome<P> {
+    let (tt, ord) = (hooks.tt, hooks.ord);
     match *task {
         Task::Leaf => {
             let pos = pos.expect("leaf task reads its position");
@@ -246,9 +247,9 @@ pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>
         } => {
             let pos = pos.expect("serial task reads its position");
             let r = if refute {
-                er_eval_refute_ord(pos, depth, window, cfg, ply, tt, ctl, ord)
+                er_eval_refute_with(pos, depth, window, cfg, ply, hooks)
             } else {
-                er_search_window_ord(pos, depth, window, cfg, ply, tt, ctl, ord)
+                er_search_with(pos, depth, window, cfg, ply, hooks)
             };
             if !r.is_complete() {
                 return Outcome::Aborted;
@@ -910,8 +911,7 @@ struct SimAdapter<P: GamePosition, T: TtAccess<P>, O: OrdAccess> {
     worker: ErWorker<P>,
     inflight: Vec<Option<(NodeId, Outcome<P>)>>,
     trace: Vec<JobTrace>,
-    tt: T,
-    ord: O,
+    hooks: Hooks<T, (), (), O>,
 }
 
 impl<P: GamePosition, T: TtAccess<P>, O: OrdAccess> HeapWorker for SimAdapter<P, T, O> {
@@ -937,9 +937,7 @@ impl<P: GamePosition, T: TtAccess<P>, O: OrdAccess> HeapWorker for SimAdapter<P,
                     &job.task,
                     Some(self.worker.node_pos(job.id)),
                     self.worker.serial_cfg(),
-                    self.tt,
-                    (),
-                    self.ord,
+                    self.hooks,
                 );
                 let cost = self.worker.cost_of(&outcome);
                 let token = self.inflight.len() as u64;
@@ -975,70 +973,33 @@ pub fn run_er_sim<P: GamePosition>(
     processors: usize,
     cfg: &ErParallelConfig,
 ) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, (), ())
+    run_er_sim_with(pos, depth, Window::FULL, processors, cfg, Hooks::default())
 }
 
-/// Runs simulated parallel ER with every virtual processor sharing
-/// `table`. Unlike the threaded back-end, the simulation is
-/// deterministic: the same configuration and table size always examines
-/// the same nodes, so TT-on vs TT-off node counts compare exactly.
-pub fn run_er_sim_tt<P: GamePosition + tt::Zobrist>(
-    pos: &P,
-    depth: u32,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    table: &tt::TranspositionTable,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, table, ())
-}
-
-/// [`run_er_sim`] with shared killer/history tables ranking non-e-node
-/// children and the serial frontier. Node counts change (that is the
-/// point); the root value does not. Still fully deterministic: one OS
-/// thread updates the tables in a fixed job order, so the same
-/// configuration always examines the same nodes.
-pub fn run_er_sim_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, Window::FULL, processors, cfg, tt, ord)
-}
-
-/// [`run_er_sim_ord`] with an explicit root window (the aspiration
-/// driver's probe). The result is exact only inside `window`; outside it
-/// is a fail-hard bound in the failing direction.
-pub fn run_er_sim_window_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
+/// [`run_er_sim`] with an explicit root window (the aspiration driver's
+/// probe) and the two hooks the simulator takes: a table shared by every
+/// virtual processor, and killer/history tables ranking non-e-node
+/// children and the serial frontier.
+///
+/// With a narrowed `window` the result is exact only inside it; outside it
+/// is a fail-hard bound in the failing direction. Unlike the threaded
+/// back-end the simulation stays fully deterministic with either hook on:
+/// one OS thread probes, stores and updates the tables in a fixed job
+/// order, so the same configuration always examines the same nodes and
+/// table-on against table-off node counts compare exactly.
+pub fn run_er_sim_with<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
     pos: &P,
     depth: u32,
     window: Window,
     processors: usize,
     cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
-) -> ErRunResult {
-    run_er_sim_gen(pos, depth, window, processors, cfg, tt, ord)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_er_sim_gen<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    processors: usize,
-    cfg: &ErParallelConfig,
-    tt: T,
-    ord: O,
+    hooks: Hooks<T, (), (), O>,
 ) -> ErRunResult {
     let mut adapter = SimAdapter {
         worker: ErWorker::new_windowed(pos.clone(), depth, window, *cfg),
         inflight: Vec::new(),
         trace: Vec::new(),
-        tt,
-        ord,
+        hooks,
     };
     let report = simulate(&mut adapter, processors, cfg.cost.heap_latency);
     ErRunResult {

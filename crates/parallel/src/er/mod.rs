@@ -104,15 +104,9 @@ pub struct ErRunResult {
     pub examined_keys: Vec<u64>,
 }
 
-pub use engine::{run_er_sim, run_er_sim_ord, run_er_sim_tt, run_er_sim_window_ord};
-pub use id::{
-    run_er_threads_id, run_er_threads_id_asp, run_er_threads_id_asp_trace_tt,
-    run_er_threads_id_asp_tt, run_er_threads_id_trace, run_er_threads_id_trace_tt,
-    run_er_threads_id_tt, AspirationConfig, DepthResult, ErIdResult, IdStepper,
-};
+pub use engine::{run_er_sim, run_er_sim_with};
+pub use id::{run_er_threads_id, AspirationConfig, DepthResult, ErIdResult, IdStepper};
 pub use threads::{
-    pin_current_thread, run_er_threads, run_er_threads_ctl, run_er_threads_ctl_tt,
-    run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_trace, run_er_threads_trace_tt,
-    run_er_threads_tt, run_er_threads_window_ord, run_er_threads_window_ord_metrics, BatchPolicy,
+    pin_current_thread, run_er_threads, run_er_threads_exec, run_er_threads_with, BatchPolicy,
     PinPolicy, ThreadsConfig,
 };

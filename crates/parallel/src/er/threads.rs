@@ -67,11 +67,13 @@ use std::time::Instant;
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::MetricsAccess;
 use problem_heap::{ws_deque, PublishSlab, ThreadCounters, WsStealer};
-use trace::{EventKind, TraceAccess, Traced, Tracer, WorkerTrace};
-use tt::{TranspositionTable, TtAccess, TtStats, Zobrist};
+use trace::{EventKind, TraceAccess, Traced, WorkerTrace};
+use tt::{TtAccess, TtStats};
 
+use search_serial::control::CtlHook;
 use search_serial::er::ErConfig;
 use search_serial::ordering::OrdAccess;
+use search_serial::Hooks;
 
 use super::engine::{execute_task, ErWorker, Outcome, Select, Task};
 use super::ErParallelConfig;
@@ -107,7 +109,7 @@ pub enum BatchPolicy {
 /// Pinning stops the OS scheduler from migrating a worker mid-search:
 /// a migrated thread abandons its warm L1/L2 (its deque ring, its arena
 /// reads, its home TT shards — see
-/// [`TranspositionTable::home_shards`]) and refaults them on the new
+/// [`tt::TranspositionTable::home_shards`]) and refaults them on the new
 /// core. The mapping is a pure function of the worker index so runs are
 /// reproducible; it says nothing about the search schedule, and the root
 /// value is bit-identical with pinning on, off, or unsupported.
@@ -200,6 +202,19 @@ pub struct ThreadsConfig {
     pub pin: Option<PinPolicy>,
 }
 
+impl ThreadsConfig {
+    /// A pinned batch size with stealing on and no pinning. `batch = 1`
+    /// reproduces job-at-a-time selection (though still with apply and
+    /// select fused into one acquisition).
+    pub fn fixed_batch(batch: usize) -> ThreadsConfig {
+        ThreadsConfig {
+            batch: BatchPolicy::Fixed(batch),
+            steal: true,
+            pin: None,
+        }
+    }
+}
+
 impl Default for ThreadsConfig {
     /// Adaptive batching with stealing on and no pinning — the
     /// configuration the scaling experiment ships.
@@ -226,8 +241,8 @@ pub struct ErThreadsResult {
     /// Contention counters, one entry per thread.
     pub per_thread: Vec<ThreadCounters>,
     /// Transposition-table activity attributable to this run (the delta of
-    /// the shared table's counters over the run), when a table was
-    /// attached via [`run_er_threads_tt`]; `None` for table-free runs.
+    /// the shared table's counters over the run) whenever a table was
+    /// attached; `None` for table-free runs.
     pub tt: Option<TtStats>,
 }
 
@@ -279,29 +294,11 @@ pub fn run_er_threads<P: GamePosition>(
     ))
 }
 
-/// Runs parallel ER with a pinned batch size (stealing stays on).
-/// `batch = 1` reproduces job-at-a-time selection (though still with
-/// apply and select fused into one acquisition).
-pub fn run_er_threads_with<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    batch: usize,
-    cfg: &ErParallelConfig,
-) -> ErThreadsResult {
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(batch),
-        steal: true,
-        pin: None,
-    };
-    expect_complete(run_er_threads_exec(pos, depth, threads, cfg, exec))
-}
-
 /// Runs parallel ER with full control over the execution layer.
 ///
 /// Returns `Err(SearchAborted)` when the run could not complete — for this
 /// deadline-free entry point that means a worker panicked. Attach a
-/// deadline or cancellation token with [`run_er_threads_ctl`].
+/// deadline or cancellation token through [`run_er_threads_with`].
 pub fn run_er_threads_exec<P: GamePosition>(
     pos: &P,
     depth: u32,
@@ -309,179 +306,15 @@ pub fn run_er_threads_exec<P: GamePosition>(
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
 ) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
+    run_er_threads_with(
         pos,
         depth,
         Window::FULL,
         threads,
         cfg,
         exec,
-        (),
-        &SearchControl::unlimited(),
-        (),
-        (),
-        (),
+        Hooks::default(),
     )
-}
-
-/// [`run_er_threads_exec`] under an external [`SearchControl`]: the run
-/// stops early (with `Err(SearchAborted)`) when `ctl`'s deadline passes,
-/// [`SearchControl::cancel`] is called from another thread, or a worker
-/// panics.
-pub fn run_er_threads_ctl<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    ctl: &SearchControl,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        (),
-        ctl,
-        (),
-        (),
-        (),
-    )
-}
-
-/// [`run_er_threads_ctl`] with a [`Tracer`] attached: every worker records
-/// its activity (job spans, lock waits/holds, steals, parks, queue depths,
-/// abort trips) into a private bounded ring, submitted to `tracer` when
-/// the thread joins. The root value is bit-identical to the untraced run.
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_trace<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        (),
-        ctl,
-        tracer,
-        (),
-        (),
-    )
-}
-
-/// [`run_er_threads_trace`] with a shared transposition table: the trace
-/// additionally records every table probe and store (the handle is wrapped
-/// in [`trace::Traced`] and rides into `execute_task` and the
-/// serial-frontier searches unchanged).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_trace_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-    tracer: &Tracer,
-) -> Result<ErThreadsResult, SearchAborted> {
-    let before = table.stats();
-    let mut r = run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        table,
-        ctl,
-        tracer,
-        (),
-        (),
-    )?;
-    r.tt = Some(table.stats().since(&before));
-    Ok(r)
-}
-
-/// [`run_er_threads_with`] with all workers sharing `table`: every thread
-/// probes and stores through the same lock-free table, so one worker's
-/// refutation is every other worker's ordering hint (or outright answer).
-/// [`ErThreadsResult::tt`] reports the run's table activity.
-pub fn run_er_threads_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    batch: usize,
-    cfg: &ErParallelConfig,
-    table: &TranspositionTable,
-) -> ErThreadsResult {
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(batch),
-        steal: true,
-        pin: None,
-    };
-    expect_complete(run_er_threads_exec_tt(
-        pos, depth, threads, cfg, exec, table,
-    ))
-}
-
-/// [`run_er_threads_exec`] with a shared transposition table.
-pub fn run_er_threads_exec_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_ctl_tt(
-        pos,
-        depth,
-        threads,
-        cfg,
-        exec,
-        table,
-        &SearchControl::unlimited(),
-    )
-}
-
-/// [`run_er_threads_exec_tt`] under an external [`SearchControl`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_ctl_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    table: &TranspositionTable,
-    ctl: &SearchControl,
-) -> Result<ErThreadsResult, SearchAborted> {
-    let before = table.stats();
-    let mut r = run_er_threads_gen(
-        pos,
-        depth,
-        Window::FULL,
-        threads,
-        cfg,
-        exec,
-        table,
-        ctl,
-        (),
-        (),
-        (),
-    )?;
-    r.tt = Some(table.stats().since(&before));
-    Ok(r)
 }
 
 /// State one worker thread keeps across rounds.
@@ -554,88 +387,52 @@ fn task_arg(task: &Task) -> u32 {
     }
 }
 
-/// The fully general threaded entry point: an explicit root window (the
-/// aspiration driver's probe), any table handle, any trace recorder, and a
-/// shared killer/history handle (`()` disables dynamic ordering and keeps
-/// the run bit-identical to [`run_er_threads_ctl`]'s schedule space).
+/// The threaded back-end under `window` with any [`Hooks`]:
 ///
-/// With a narrowed `window` the result is exact only if it falls strictly
-/// inside it; outside it is a fail-hard bound in the failing direction,
-/// which the driver detects and re-searches.
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_window_ord<P, T, R, O>(
+/// * `tt` — a table every worker probes and stores through, lock-free, so
+///   one worker's refutation is every other worker's ordering hint (or
+///   outright answer); [`ErThreadsResult::tt`] then reports the run's
+///   table activity;
+/// * `ctl` — a [`SearchControl`]: the run stops early (with
+///   `Err(SearchAborted)`) when its deadline passes, it is cancelled from
+///   another thread, or a worker panics. Without one the run polls a local
+///   unlimited token, which only a worker panic can trip;
+/// * `tracer` — a [`Tracer`](trace::Tracer): every worker records its
+///   activity (job spans, lock waits/holds, steals, parks, queue depths,
+///   table probes and stores, abort trips) into a private bounded ring,
+///   submitted when the thread joins;
+/// * `ord` — shared killer/history tables ranking non-e-node children and
+///   the serial frontier;
+/// * `metrics` — live metrics (DESIGN.md §16): per-acquisition lock waits
+///   land in the engine's lock-wait histogram as they happen, and a
+///   completed run folds its merged node/job/steal totals into the
+///   counters once at the end.
+///
+/// The root value is bit-identical with every hook on or off. With a
+/// narrowed `window` the result is exact only if it falls strictly inside
+/// it; outside it is a fail-hard bound in the failing direction, which the
+/// aspiration driver detects and re-searches.
+pub fn run_er_threads_with<P, T, C, R, O, M>(
     pos: &P,
     depth: u32,
     window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
     exec: ThreadsConfig,
-    tt: T,
-    ctl: &SearchControl,
-    tr: R,
-    ord: O,
+    hooks: Hooks<T, C, R, O, M>,
 ) -> Result<ErThreadsResult, SearchAborted>
 where
     P: GamePosition,
     T: TtAccess<P> + Send + Sync,
-    R: TraceAccess,
-    O: OrdAccess + Send + Sync,
-{
-    run_er_threads_gen(pos, depth, window, threads, cfg, exec, tt, ctl, tr, ord, ())
-}
-
-/// [`run_er_threads_window_ord`] with a live metrics handle
-/// (DESIGN.md §16): per-acquisition lock waits land in the engine's
-/// lock-wait histogram as they happen, and a completed run folds its
-/// merged node/job/steal totals into the counters once at the end. With
-/// `mx = ()` every recording call compiles away and this *is*
-/// [`run_er_threads_window_ord`]; the root value is bit-identical either
-/// way (`repro obs` asserts it).
-#[allow(clippy::too_many_arguments)]
-pub fn run_er_threads_window_ord_metrics<P, T, R, O, M>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    tt: T,
-    ctl: &SearchControl,
-    tr: R,
-    ord: O,
-    mx: M,
-) -> Result<ErThreadsResult, SearchAborted>
-where
-    P: GamePosition,
-    T: TtAccess<P> + Send + Sync,
+    C: CtlHook,
     R: TraceAccess,
     O: OrdAccess + Send + Sync,
     M: MetricsAccess,
 {
-    run_er_threads_gen(pos, depth, window, threads, cfg, exec, tt, ctl, tr, ord, mx)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_er_threads_gen<P, T, R, O, M>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-    tt: T,
-    ctl: &SearchControl,
-    tr: R,
-    ord: O,
-    mx: M,
-) -> Result<ErThreadsResult, SearchAborted>
-where
-    P: GamePosition,
-    T: TtAccess<P> + Send + Sync,
-    R: TraceAccess,
-    O: OrdAccess + Send + Sync,
-    M: MetricsAccess,
-{
+    let local = SearchControl::unlimited();
+    let ctl = hooks.ctl.control().unwrap_or(&local);
+    let (tt, tr, ord, mx) = (hooks.tt, hooks.tracer, hooks.ord, hooks.metrics);
+    let tt_before = tt.stats();
     assert!(threads > 0);
     let (fixed_batch, adaptive) = match exec.batch {
         BatchPolicy::Fixed(b) => (b.clamp(1, DEQUE_CAP), false),
@@ -698,7 +495,10 @@ where
                     // every recording call below compiles away and the
                     // loop is byte-identical to the untraced build.
                     let wtr = tr.worker(me);
-                    let ttw = Traced::new(tt, &wtr);
+                    let job_hooks = Hooks::default()
+                        .with_tt(Traced::new(tt, &wtr))
+                        .with_ctl(&probe)
+                        .with_ord(ord);
                     let mut cx = WorkerCtx::<P> {
                         counters: ThreadCounters::default(),
                         ready: Vec::with_capacity(MAX_BATCH),
@@ -833,7 +633,7 @@ where
                             // applicable outcome: the control tripped
                             // mid-job or the task panicked (already caught
                             // and converted into a trip).
-                            if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord) {
+                            if !run_job(&mut cx, arena, id, &task, scfg, job_hooks, &wtr) {
                                 break 'rounds true;
                             }
                             executed_this_round += 1;
@@ -859,8 +659,7 @@ where
                                     }
                                 }
                                 let Some((id, task)) = stolen else { break };
-                                if !run_job(&mut cx, arena, id, &task, scfg, ttw, &probe, &wtr, ord)
-                                {
+                                if !run_job(&mut cx, arena, id, &task, scfg, job_hooks, &wtr) {
                                     break 'rounds true;
                                 }
                                 executed_this_round += 1;
@@ -967,7 +766,7 @@ where
             cached_leaf_hits: g.worker.cached_leaf_hits,
             elapsed,
             per_thread,
-            tt: None,
+            tt: tt.stats().zip(tt_before).map(|(now, b)| now.since(&b)),
         });
     }
     Err(SearchAborted {
@@ -986,17 +785,14 @@ where
 /// control tripped inside a serial-frontier batch, or the task panicked —
 /// the panic is caught here and converted into a `WorkerPanicked` trip, so
 /// an evaluator bug aborts the run instead of poisoning the heap mutex.
-#[allow(clippy::too_many_arguments)]
 fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
     cx: &mut WorkerCtx<P>,
     arena: &PublishSlab<std::sync::Arc<P>>,
     id: NodeId,
     task: &Task,
     scfg: ErConfig,
-    tt: T,
-    probe: &CtlProbe<'_>,
+    hooks: Hooks<T, &CtlProbe<'_>, (), O>,
     wtr: &W,
-    ord: O,
 ) -> bool {
     cx.counters.jobs_executed += 1;
     let pos: Option<&P> = task.needs_pos().then(|| {
@@ -1005,12 +801,10 @@ fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
             .expect("position published before the job was queued")
     });
     let job_start = wtr.now_ns();
-    let outcome = match catch_unwind(AssertUnwindSafe(|| {
-        execute_task(task, pos, scfg, tt, probe, ord)
-    })) {
+    let outcome = match catch_unwind(AssertUnwindSafe(|| execute_task(task, pos, scfg, hooks))) {
         Ok(outcome) => outcome,
         Err(_) => {
-            probe.control().trip(AbortReason::WorkerPanicked);
+            hooks.ctl.control().trip(AbortReason::WorkerPanicked);
             cx.counters.jobs_aborted += 1;
             return false;
         }
@@ -1069,13 +863,14 @@ mod tests {
         let exact = negmax(&root, 7).value;
         for batch in [1usize, 2, 4, 16, 64] {
             for threads in [1usize, 4] {
-                let r = run_er_threads_with(
+                let r = run_er_threads_exec(
                     &root,
                     7,
                     threads,
-                    batch,
                     &ErParallelConfig::random_tree(3),
-                );
+                    ThreadsConfig::fixed_batch(batch),
+                )
+                .expect("unlimited run cannot abort");
                 assert_eq!(r.value, exact, "batch {batch} threads {threads}");
             }
         }
@@ -1132,7 +927,14 @@ mod tests {
     #[test]
     fn counters_are_populated_and_consistent() {
         let root = RandomTreeSpec::new(5, 4, 7).root();
-        let r = run_er_threads_with(&root, 7, 4, 8, &ErParallelConfig::random_tree(3));
+        let r = run_er_threads_exec(
+            &root,
+            7,
+            4,
+            &ErParallelConfig::random_tree(3),
+            ThreadsConfig::fixed_batch(8),
+        )
+        .expect("unlimited run cannot abort");
         assert_eq!(r.per_thread.len(), 4);
         let total = r.counters();
         assert!(total.lock_acquisitions > 0);
@@ -1177,8 +979,10 @@ mod tests {
     fn larger_batches_need_fewer_acquisitions() {
         let root = RandomTreeSpec::new(12, 4, 8).root();
         let cfg = ErParallelConfig::random_tree(4);
-        let b1 = run_er_threads_with(&root, 8, 1, 1, &cfg);
-        let b16 = run_er_threads_with(&root, 8, 1, 16, &cfg);
+        let b1 = run_er_threads_exec(&root, 8, 1, &cfg, ThreadsConfig::fixed_batch(1))
+            .expect("unlimited run cannot abort");
+        let b16 = run_er_threads_exec(&root, 8, 1, &cfg, ThreadsConfig::fixed_batch(16))
+            .expect("unlimited run cannot abort");
         assert_eq!(b1.value, b16.value);
         let (a1, a16) = (b1.counters(), b16.counters());
         assert!(

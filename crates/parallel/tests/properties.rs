@@ -4,8 +4,8 @@
 
 use er_parallel::er::engine::{execute_task, ErWorker, Select, Task};
 use er_parallel::{
-    run_er_sim, run_er_threads_exec, run_er_threads_with, BatchPolicy, ErParallelConfig,
-    Speculation, ThreadsConfig, DEFAULT_BATCH,
+    run_er_sim, run_er_threads_exec, BatchPolicy, ErParallelConfig, Speculation, ThreadsConfig,
+    DEFAULT_BATCH,
 };
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
@@ -55,9 +55,7 @@ proptest! {
         let threads = [1usize, 2, 4, 8][threads_idx];
         let batch = [1usize, 4, 16][batch_idx];
         let root = RandomTreeSpec::new(seed, 3, 5).root();
-        let r = run_er_threads_with(
-            &root, 5, threads, batch, &ErParallelConfig::random_tree(2),
-        );
+        let r = run_er_threads_exec(&root, 5, threads, &ErParallelConfig::random_tree(2), ThreadsConfig::fixed_batch(batch)).expect("unlimited run cannot abort");
         prop_assert_eq!(r.value, negmax(&root, 5).value);
     }
 
@@ -133,9 +131,7 @@ fn drive_labels<P: GamePosition>(
                         order: cfg.order,
                         sel: cfg.sel,
                     },
-                    (),
-                    (),
-                    (),
+                    search_serial::Hooks::default(),
                 );
                 if w.apply(job.id, outcome) {
                     break;
@@ -213,8 +209,14 @@ fn threads_full_matrix_matches_negmax() {
     let exact = negmax(&root, 6).value;
     for threads in [1usize, 2, 4, 8] {
         for batch in [1usize, 4, 16] {
-            let r =
-                run_er_threads_with(&root, 6, threads, batch, &ErParallelConfig::random_tree(3));
+            let r = run_er_threads_exec(
+                &root,
+                6,
+                threads,
+                &ErParallelConfig::random_tree(3),
+                ThreadsConfig::fixed_batch(batch),
+            )
+            .expect("unlimited run cannot abort");
             assert_eq!(r.value, exact, "threads {threads} batch {batch}");
         }
     }
@@ -237,7 +239,8 @@ fn threads_match_negmax_on_shallow_othello() {
     let exact = negmax(&root, 4).value;
     for threads in [1usize, 4] {
         for batch in [1usize, 8] {
-            let r = run_er_threads_with(&root, 4, threads, batch, &cfg);
+            let r = run_er_threads_exec(&root, 4, threads, &cfg, ThreadsConfig::fixed_batch(batch))
+                .expect("unlimited run cannot abort");
             assert_eq!(r.value, exact, "threads {threads} batch {batch}");
             assert!(
                 r.cached_leaf_hits > 0,
@@ -260,7 +263,8 @@ fn threads_match_negmax_on_shallow_checkers() {
     };
     let exact = negmax(&root, 5).value;
     for threads in [1usize, 4] {
-        let r = run_er_threads_with(&root, 5, threads, 8, &cfg);
+        let r = run_er_threads_exec(&root, 5, threads, &cfg, ThreadsConfig::fixed_batch(8))
+            .expect("unlimited run cannot abort");
         assert_eq!(r.value, exact, "threads {threads}");
     }
 }

@@ -4,118 +4,84 @@
 //! in the paper's experiments (with child sorting per §7).
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use trace::TraceAccess;
+use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
+use crate::hooks::{run_serial, Hooks, SerialBody};
 use crate::ordering::{note_cutoff, ordered_children_ranked, splice_hint, OrdAccess, OrderPolicy};
 use crate::SearchResult;
 
 /// Full-window alpha-beta evaluation of `pos` to `depth` plies.
 pub fn alphabeta<P: GamePosition>(pos: &P, depth: u32, policy: OrderPolicy) -> SearchResult {
-    alphabeta_window(pos, depth, Window::FULL, policy)
+    alphabeta_with(pos, depth, Window::FULL, policy, Hooks::default()).into()
 }
 
-/// Alpha-beta with an arbitrary initial window (used by aspiration search).
+/// Alpha-beta under `window` with any [`Hooks`]: a table (probe before
+/// expanding — an equal-depth entry can answer the node outright — seed
+/// child ordering with the stored best move, store on every return), a
+/// control polled at every node, a tracer, and killer/history tables
+/// ranking the children the static policy left unsorted.
+///
 /// Fail-soft: the result is exact if it lies strictly inside `window`,
-/// otherwise it is a bound of the corresponding direction.
-pub fn alphabeta_window<P: GamePosition>(
+/// otherwise it is a bound of the corresponding direction. A run the
+/// control aborted flags itself via `aborted` and its value is partial.
+pub fn alphabeta_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
     window: Window,
     policy: OrderPolicy,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = ab_rec(pos, depth, window, 0, policy, (), (), (), &mut stats).expect("no control");
-    SearchResult { value, stats }
-}
-
-/// [`alphabeta`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to
-/// [`alphabeta`]; an aborted one flags itself via `aborted` and its value
-/// is partial.
-pub fn alphabeta_ctl<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    policy: OrderPolicy,
-    ctl: &SearchControl,
-) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    let mut stats = SearchStats::new();
-    match ab_rec(
-        pos,
-        depth,
-        Window::FULL,
-        0,
-        policy,
-        (),
-        &probe,
-        (),
-        &mut stats,
-    ) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
+    hooks: Hooks<T, C, R, O>,
+) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+    O: OrdAccess,
+{
+    let ord = hooks.ord;
+    run_serial(
+        hooks,
+        Ab {
+            pos,
+            depth,
+            window,
+            policy,
+            ord,
         },
-        None => CtlSearchResult {
-            value: Value::NEG_INF,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
+    )
 }
 
-/// [`alphabeta`] sharing `table`: probe before expanding (an equal-depth
-/// entry can answer the node outright), seed child ordering with the stored
-/// best move, store on every return.
-pub fn alphabeta_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    alphabeta_window_tt(pos, depth, Window::FULL, policy, table)
-}
-
-/// [`alphabeta_window`] sharing `table`.
-pub fn alphabeta_window_tt<P: GamePosition + Zobrist>(
-    pos: &P,
+/// The alpha-beta recursion as a [`SerialBody`].
+struct Ab<'a, P, O> {
+    pos: &'a P,
     depth: u32,
     window: Window,
     policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    alphabeta_window_with(pos, depth, window, policy, table)
-}
-
-/// [`alphabeta_window`] generic over the table handle: `()` for none,
-/// `&TranspositionTable` for a shared table. This is the form parallel
-/// engines call so one code path serves both configurations.
-pub fn alphabeta_window_with<P: GamePosition, T: TtAccess<P>>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-    tt: T,
-) -> SearchResult {
-    alphabeta_window_ord(pos, depth, window, policy, tt, ())
-}
-
-/// [`alphabeta_window_with`] additionally generic over the dynamic
-/// move-ordering handle (`()` or `&OrderingTables`): killer/history
-/// ranking after the policy sort, cutoff credit recorded back into the
-/// tables. The `()` instantiation is exactly [`alphabeta_window_with`].
-pub fn alphabeta_window_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-    tt: T,
     ord: O,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = ab_rec(pos, depth, window, 0, policy, tt, (), ord, &mut stats).expect("no control");
-    SearchResult { value, stats }
+}
+
+impl<P: GamePosition, O: OrdAccess> SerialBody<P> for Ab<'_, P, O> {
+    fn run<T: TtAccess<P>, C: CtlAccess>(
+        self,
+        tt: T,
+        ctl: C,
+        stats: &mut SearchStats,
+    ) -> Result<Value, Value> {
+        ab_rec(
+            self.pos,
+            self.depth,
+            self.window,
+            0,
+            self.policy,
+            tt,
+            ctl,
+            self.ord,
+            stats,
+        )
+        .ok_or(Value::NEG_INF)
+    }
 }
 
 /// Classifies a fail-soft result against the *original* window: at or above
@@ -210,6 +176,10 @@ mod tests {
     use gametree::ordered::OrderedTreeSpec;
     use gametree::random::RandomTreeSpec;
 
+    fn window<P: GamePosition>(root: &P, depth: u32, w: Window) -> Value {
+        alphabeta_with(root, depth, w, OrderPolicy::NATURAL, Hooks::default()).value
+    }
+
     #[test]
     fn full_window_equals_negmax_on_random_trees() {
         for seed in 0..8 {
@@ -289,8 +259,8 @@ mod tests {
             // bound >= exact.
             let lo = Window::new(Value::new(-20_000), Value::new(exact.get() - 1));
             let hi = Window::new(Value::new(exact.get() + 1), Value::new(20_000));
-            let fail_high = alphabeta_window(&root, 4, lo, OrderPolicy::NATURAL).value;
-            let fail_low = alphabeta_window(&root, 4, hi, OrderPolicy::NATURAL).value;
+            let fail_high = window(&root, 4, lo);
+            let fail_low = window(&root, 4, hi);
             assert!(fail_high >= Value::new(exact.get() - 1), "seed {seed}");
             assert!(fail_high <= exact, "fail-soft lower bound exceeds exact");
             assert!(fail_low <= Value::new(exact.get() + 1), "seed {seed}");
@@ -304,8 +274,7 @@ mod tests {
             let root = RandomTreeSpec::new(seed, 3, 4).root();
             let exact = negmax(&root, 4).value;
             let w = Window::new(Value::new(exact.get() - 5), Value::new(exact.get() + 5));
-            let r = alphabeta_window(&root, 4, w, OrderPolicy::NATURAL);
-            assert_eq!(r.value, exact, "seed {seed}");
+            assert_eq!(window(&root, 4, w), exact, "seed {seed}");
         }
     }
 
@@ -316,7 +285,7 @@ mod tests {
             let full = alphabeta(&root, 4, OrderPolicy::NATURAL);
             let exact = full.value.get();
             let narrow = Window::new(Value::new(exact - 1), Value::new(exact + 1));
-            let r = alphabeta_window(&root, 4, narrow, OrderPolicy::NATURAL);
+            let r = alphabeta_with(&root, 4, narrow, OrderPolicy::NATURAL, Hooks::default());
             assert!(r.stats.nodes() <= full.stats.nodes(), "seed {seed}");
         }
     }

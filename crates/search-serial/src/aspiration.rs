@@ -6,9 +6,10 @@
 //! parallel aspiration algorithm (paper §4.1).
 
 use gametree::{GamePosition, Value, Window};
-use tt::{TranspositionTable, Zobrist};
+use tt::{TranspositionTable, TtAccess, Zobrist};
 
-use crate::alphabeta::{alphabeta_window, alphabeta_window_tt};
+use crate::alphabeta::alphabeta_with;
+use crate::hooks::Hooks;
 use crate::ordering::OrderPolicy;
 use crate::SearchResult;
 
@@ -41,32 +42,7 @@ pub fn aspiration<P: GamePosition>(
     delta: i32,
     policy: OrderPolicy,
 ) -> AspirationResult {
-    assert!(delta > 0, "aspiration window must be non-empty");
-    let w = Window::new(
-        Value::new(guess.get().saturating_sub(delta)),
-        Value::new(guess.get().saturating_add(delta)),
-    );
-    let first = alphabeta_window(pos, depth, w, policy);
-    let mut stats = first.stats;
-    let (value, probe) = if first.value >= w.beta {
-        // Fail high: the true value is >= first.value.
-        stats.re_searches += 1;
-        let re = alphabeta_window(pos, depth, Window::new(first.value, Value::INF), policy);
-        stats.merge(&re.stats);
-        (re.value, Probe::FailHigh)
-    } else if first.value <= w.alpha {
-        // Fail low: the true value is <= first.value.
-        stats.re_searches += 1;
-        let re = alphabeta_window(pos, depth, Window::new(Value::NEG_INF, first.value), policy);
-        stats.merge(&re.stats);
-        (re.value, Probe::FailLow)
-    } else {
-        (first.value, Probe::Exact)
-    };
-    AspirationResult {
-        result: SearchResult { value, stats },
-        probe,
-    }
+    aspiration_on(pos, depth, guess, delta, policy, ())
 }
 
 /// [`aspiration`] sharing `table`. The table earns its keep on the
@@ -81,33 +57,36 @@ pub fn aspiration_tt<P: GamePosition + Zobrist>(
     policy: OrderPolicy,
     table: &TranspositionTable,
 ) -> AspirationResult {
+    aspiration_on(pos, depth, guess, delta, policy, table)
+}
+
+/// The probe-and-re-search body shared by both aspiration entries.
+fn aspiration_on<P: GamePosition, T: TtAccess<P>>(
+    pos: &P,
+    depth: u32,
+    guess: Value,
+    delta: i32,
+    policy: OrderPolicy,
+    tt: T,
+) -> AspirationResult {
     assert!(delta > 0, "aspiration window must be non-empty");
+    let search = |w: Window| alphabeta_with(pos, depth, w, policy, Hooks::default().with_tt(tt));
     let w = Window::new(
         Value::new(guess.get().saturating_sub(delta)),
         Value::new(guess.get().saturating_add(delta)),
     );
-    let first = alphabeta_window_tt(pos, depth, w, policy, table);
+    let first = search(w);
     let mut stats = first.stats;
     let (value, probe) = if first.value >= w.beta {
+        // Fail high: the true value is >= first.value.
         stats.re_searches += 1;
-        let re = alphabeta_window_tt(
-            pos,
-            depth,
-            Window::new(first.value, Value::INF),
-            policy,
-            table,
-        );
+        let re = search(Window::new(first.value, Value::INF));
         stats.merge(&re.stats);
         (re.value, Probe::FailHigh)
     } else if first.value <= w.alpha {
+        // Fail low: the true value is <= first.value.
         stats.re_searches += 1;
-        let re = alphabeta_window_tt(
-            pos,
-            depth,
-            Window::new(Value::NEG_INF, first.value),
-            policy,
-            table,
-        );
+        let re = search(Window::new(Value::NEG_INF, first.value));
         stats.merge(&re.stats);
         (re.value, Probe::FailLow)
     } else {

@@ -14,10 +14,10 @@
 //!
 //! The serial searches stay zero-cost when no control is attached: the
 //! recursion is generic over [`CtlAccess`], and the `()` handle's check
-//! statically returns "keep going", so the non-ctl entry points compile to
-//! exactly the code they were before this module existed (the property
-//! tests pin the observable half of that claim: identical values *and*
-//! identical node counts).
+//! statically returns "keep going", so a search whose [`Hooks`](crate::Hooks)
+//! carry no control compiles to exactly the code it was before this module
+//! existed (the property tests pin the observable half of that claim:
+//! identical values *and* identical node counts).
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -277,10 +277,81 @@ impl CtlAccess for &CtlProbe<'_> {
     }
 }
 
-/// The result of a `*_ctl` search: a value plus a partial-result flag.
+/// The control field of a [`Hooks`](crate::Hooks) bundle: `()` (no
+/// control), `&SearchControl` (a shared token, polled through a fresh
+/// [`CtlProbe`] per search), or `&CtlProbe` (an existing per-thread probe,
+/// so a worker's clock-read rationing carries across the jobs it runs).
+pub trait CtlHook: Copy {
+    /// Per-search polling state: `()`, or the probe.
+    type Probe;
+
+    /// Fresh polling state for one search.
+    fn probe(self) -> Self::Probe;
+
+    /// The copyable handle the search recursions poll.
+    fn access(probe: &Self::Probe) -> impl CtlAccess + '_;
+
+    /// The shared token, if one is attached.
+    fn control(&self) -> Option<&SearchControl>;
+}
+
+impl CtlHook for () {
+    type Probe = ();
+
+    #[inline(always)]
+    fn probe(self) {}
+
+    #[inline(always)]
+    fn access(_probe: &()) -> impl CtlAccess + '_ {}
+
+    #[inline(always)]
+    fn control(&self) -> Option<&SearchControl> {
+        None
+    }
+}
+
+impl<'c> CtlHook for &'c SearchControl {
+    type Probe = CtlProbe<'c>;
+
+    #[inline]
+    fn probe(self) -> CtlProbe<'c> {
+        CtlProbe::new(self)
+    }
+
+    #[inline]
+    fn access<'a>(probe: &'a CtlProbe<'c>) -> impl CtlAccess + 'a {
+        probe
+    }
+
+    #[inline]
+    fn control(&self) -> Option<&SearchControl> {
+        Some(self)
+    }
+}
+
+impl<'p, 'c> CtlHook for &'p CtlProbe<'c> {
+    type Probe = &'p CtlProbe<'c>;
+
+    #[inline]
+    fn probe(self) -> &'p CtlProbe<'c> {
+        self
+    }
+
+    #[inline]
+    fn access<'a>(probe: &'a &'p CtlProbe<'c>) -> impl CtlAccess + 'a {
+        *probe
+    }
+
+    #[inline]
+    fn control(&self) -> Option<&SearchControl> {
+        Some(self.ctl)
+    }
+}
+
+/// The result of a hooked search: a value plus a partial-result flag.
 ///
 /// When `aborted` is `None` the search ran to completion and `value` is
-/// exactly what the non-ctl twin would have returned. When it is
+/// exactly what the uncontrolled search would have returned. When it is
 /// `Some(reason)` the search unwound early: `value` is whatever partial
 /// bound the recursion had established and must not be trusted as exact
 /// (the iterative-deepening driver, for instance, discards it and keeps
@@ -299,6 +370,15 @@ impl CtlSearchResult {
     /// Whether the search completed (the value is exact).
     pub fn is_complete(&self) -> bool {
         self.aborted.is_none()
+    }
+}
+
+impl From<CtlSearchResult> for crate::SearchResult {
+    fn from(r: CtlSearchResult) -> crate::SearchResult {
+        crate::SearchResult {
+            value: r.value,
+            stats: r.stats,
+        }
     }
 }
 

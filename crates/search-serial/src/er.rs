@@ -21,10 +21,12 @@
 //! negmax on every tree (see the equivalence tests and the crate-level
 //! property tests).
 
-use gametree::{GamePosition, SearchStats, Value};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use gametree::{GamePosition, SearchStats, Value, Window};
+use trace::TraceAccess;
+use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
+use crate::hooks::{run_serial, Hooks, SerialBody};
 use crate::ordering::{note_cutoff, rank_key, OrdAccess, OrderPolicy, SelectivityConfig};
 use crate::SearchResult;
 
@@ -179,9 +181,11 @@ impl<P: GamePosition> ErNode<P> {
                         // Killers/history rank only plies the static policy
                         // left unsorted (rank_children's rule). Stable:
                         // children the tables know nothing about keep their
-                        // natural order.
+                        // natural order. Each key is read once, so other
+                        // workers updating the shared tables mid-sort cannot
+                        // break the sort's total order.
                         let ply = self.ply;
-                        kids.sort_by_key(|k| rank_key(ord, ply, k.nat));
+                        kids.sort_by_cached_key(|k| rank_key(ord, ply, k.nat));
                     }
                     // The hinted child goes first (it refuted this node
                     // before); a rotate keeps the rest in sorted order.
@@ -218,144 +222,82 @@ impl<P: GamePosition> ErNode<P> {
 
 /// Evaluates `pos` to `depth` plies with serial ER.
 pub fn er_search<P: GamePosition>(pos: &P, depth: u32, cfg: ErConfig) -> SearchResult {
-    er_search_window(pos, depth, gametree::Window::FULL, cfg, 0)
+    er_search_with(pos, depth, Window::FULL, cfg, 0, Hooks::default()).into()
 }
 
-/// Serial ER with an explicit window and a starting ply.
+/// Serial ER with an explicit window, a starting ply and any [`Hooks`].
 ///
 /// The parallel engine calls this for subtrees below the serial-depth
 /// threshold (paper §6): `start_ply` keeps the ordering policy's ply limit
-/// anchored at the *global* root, and `window` carries the dynamic
-/// alpha-beta bounds known when the subtree job was taken. Fail-hard with
-/// respect to the window (the result is exact when inside it).
-pub fn er_search_window<P: GamePosition>(
+/// anchored at the *global* root, `window` carries the dynamic alpha-beta
+/// bounds known when the subtree job was taken, and the hooks carry the
+/// workers' shared table, their per-thread control probe (so a deadline
+/// trip is observed inside long refutation batches, not just between
+/// jobs) and their shared killer/history tables. Fail-hard with respect to
+/// the window (the result is exact when inside it). A run the control
+/// aborted flags itself via `aborted` and its value is partial.
+pub fn er_search_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     start_ply: u32,
-) -> SearchResult {
-    er_search_window_with(pos, depth, window, cfg, start_ply, ())
-}
-
-/// [`er_search`] sharing `table`.
-pub fn er_search_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    cfg: ErConfig,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_search_window_with(pos, depth, gametree::Window::FULL, cfg, 0, table)
-}
-
-/// [`er_search_window`] sharing `table` (the parallel engine's serial
-/// subtrees all store into — and probe — the one table).
-pub fn er_search_window_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_search_window_with(pos, depth, window, cfg, start_ply, table)
-}
-
-/// [`er_search_window`] generic over the table handle (`()` or
-/// `&TranspositionTable`): the form the parallel engine instantiates so
-/// TT-off runs compile to exactly the pre-TT code.
-pub fn er_search_window_with<P: GamePosition, T: TtAccess<P>>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let mut root = ErNode::root(pos.clone(), depth, start_ply, cfg);
-    let value = er(
-        &mut root,
-        window.alpha,
-        window.beta,
-        cfg,
-        tt,
-        (),
-        (),
-        &mut stats,
+    hooks: Hooks<T, C, R, O>,
+) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+    O: OrdAccess,
+{
+    let ord = hooks.ord;
+    run_serial(
+        hooks,
+        ErRoot {
+            pos,
+            depth,
+            window,
+            cfg,
+            start_ply,
+            ord,
+            refute: false,
+        },
     )
-    .expect("no control handle");
-    SearchResult { value, stats }
 }
 
-/// [`er_search`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to
-/// [`er_search`]; an aborted one flags itself via `aborted` and its value
-/// is partial.
-pub fn er_search_ctl<P: GamePosition>(
-    pos: &P,
+/// A whole-node serial ER search as a [`SerialBody`]: full `ER` of an
+/// e-node, or (`refute`) the `Eval_first` + `Refute_rest` discipline.
+struct ErRoot<'a, P, O> {
+    pos: &'a P,
     depth: u32,
-    cfg: ErConfig,
-    ctl: &SearchControl,
-) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    er_search_window_ctl_with(pos, depth, gametree::Window::FULL, cfg, 0, (), &probe)
-}
-
-/// [`er_search_window_with`] generic over *both* handles — table and
-/// control. The parallel engine's serial-frontier jobs instantiate this
-/// with the worker's [`CtlProbe`] so deadline trips are observed inside
-/// long refutation batches, not just between jobs.
-pub fn er_search_window_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     start_ply: u32,
-    tt: T,
-    ctl: C,
-) -> CtlSearchResult {
-    er_search_window_ord(pos, depth, window, cfg, start_ply, tt, ctl, ())
-}
-
-/// [`er_search_window_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle (`()` or `&OrderingTables`): the fully-generic
-/// serial ER entry. The `()` instantiation compiles to exactly the
-/// ordering-free code — killer/history ranking costs nothing unless a
-/// table is passed.
-#[allow(clippy::too_many_arguments)]
-pub fn er_search_window_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
     ord: O,
-) -> CtlSearchResult {
-    let mut stats = SearchStats::new();
-    let mut root = ErNode::root(pos.clone(), depth, start_ply, cfg);
-    match er(
-        &mut root,
-        window.alpha,
-        window.beta,
-        cfg,
-        tt,
-        ctl,
-        ord,
-        &mut stats,
-    ) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: root.value,
-            stats,
-            aborted: ctl.reason(),
-        },
+    refute: bool,
+}
+
+impl<P: GamePosition, O: OrdAccess> SerialBody<P> for ErRoot<'_, P, O> {
+    fn run<T: TtAccess<P>, C: CtlAccess>(
+        self,
+        tt: T,
+        ctl: C,
+        stats: &mut SearchStats,
+    ) -> Result<Value, Value> {
+        let (alpha, beta, cfg, ord) = (self.window.alpha, self.window.beta, self.cfg, self.ord);
+        let mut n = ErNode::root(self.pos.clone(), self.depth, self.start_ply, cfg);
+        if !self.refute {
+            return er(&mut n, alpha, beta, cfg, tt, ctl, ord, stats).ok_or(n.value);
+        }
+        let mut run = || -> Option<Value> {
+            let mut t = eval_first(&mut n, alpha, beta, cfg, tt, ctl, ord, stats)?;
+            if !n.done {
+                t = refute_rest(&mut n, alpha, beta, cfg, tt, ctl, ord, stats)?;
+            }
+            Some(t)
+        };
+        run().ok_or(alpha)
     }
 }
 
@@ -379,7 +321,7 @@ fn er<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     n.value = alpha;
     let hint = match tt.probe(&n.pos) {
         Some(p) => {
-            if let Some(v) = p.cutoff(n.depth, gametree::Window::new(alpha, beta)) {
+            if let Some(v) = p.cutoff(n.depth, Window::new(alpha, beta)) {
                 n.value = v;
                 n.done = true;
                 return Some(v);
@@ -475,7 +417,7 @@ fn eval_first<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     n.value = alpha;
     let hint = match tt.probe(&n.pos) {
         Some(p) => {
-            if let Some(v) = p.cutoff(n.depth, gametree::Window::new(alpha, beta)) {
+            if let Some(v) = p.cutoff(n.depth, Window::new(alpha, beta)) {
                 n.value = v;
                 n.done = true;
                 return Some(v);
@@ -574,287 +516,132 @@ fn refute_rest<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
 /// Examines a node with the *refutation* discipline: `Eval_first` (fully
 /// evaluate the first child) and, if that does not already settle the
 /// node, `Refute_rest` over the remaining children — stopping at the first
-/// beta cutoff.
+/// beta cutoff. Takes the same hooks as [`er_search_with`].
 ///
 /// This is how serial ER examines every non-first child (Figure 8's main
 /// loop), and it is what the parallel engine's serial-frontier jobs run
-/// for r-nodes. Running full [`er_search_window`] there instead would
+/// for r-nodes. Running full [`er_search_with`] there instead would
 /// evaluate *all* elder grandchildren up front — wasted work whenever the
 /// refutation succeeds after one child, which is the common case.
-pub fn er_eval_refute<P: GamePosition>(
+pub fn er_eval_refute_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     start_ply: u32,
-) -> SearchResult {
-    er_eval_refute_with(pos, depth, window, cfg, start_ply, ())
-}
-
-/// [`er_eval_refute`] sharing `table`.
-pub fn er_eval_refute_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_eval_refute_with(pos, depth, window, cfg, start_ply, table)
-}
-
-/// [`er_eval_refute`] generic over the table handle (`()` or
-/// `&TranspositionTable`), for the parallel engine's serial-frontier jobs.
-pub fn er_eval_refute_with<P: GamePosition, T: TtAccess<P>>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-) -> SearchResult {
-    let r = er_eval_refute_ctl_with(pos, depth, window, cfg, start_ply, tt, ());
-    SearchResult {
-        value: r.value,
-        stats: r.stats,
-    }
-}
-
-/// [`er_eval_refute_with`] generic over *both* handles — table and
-/// control. The serial-frontier refutation jobs of the parallel engine run
-/// through here, so a tripped deadline is noticed inside the batch.
-#[allow(clippy::too_many_arguments)]
-pub fn er_eval_refute_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
-) -> CtlSearchResult {
-    er_eval_refute_ord(pos, depth, window, cfg, start_ply, tt, ctl, ())
-}
-
-/// [`er_eval_refute_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle, for serial-frontier r-node jobs sharing the
-/// workers' killer/history tables.
-#[allow(clippy::too_many_arguments)]
-pub fn er_eval_refute_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    start_ply: u32,
-    tt: T,
-    ctl: C,
-    ord: O,
-) -> CtlSearchResult {
-    let mut stats = SearchStats::new();
-    let mut n = ErNode::root(pos.clone(), depth, start_ply, cfg);
-    let mut run = || -> Option<Value> {
-        let mut t = eval_first(
-            &mut n,
-            window.alpha,
-            window.beta,
+    hooks: Hooks<T, C, R, O>,
+) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+    O: OrdAccess,
+{
+    let ord = hooks.ord;
+    run_serial(
+        hooks,
+        ErRoot {
+            pos,
+            depth,
+            window,
             cfg,
-            tt,
-            ctl,
+            start_ply,
             ord,
-            &mut stats,
-        )?;
-        if !n.done {
-            t = refute_rest(
-                &mut n,
-                window.alpha,
-                window.beta,
-                cfg,
-                tt,
-                ctl,
-                ord,
-                &mut stats,
-            )?;
-        }
-        Some(t)
-    };
-    match run() {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
+            refute: true,
         },
-        None => CtlSearchResult {
-            value: window.alpha,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
+    )
 }
 
 /// Continues the evaluation of a node whose *first* child has already been
 /// fully evaluated (to `-initial_value` from the node's point of view):
 /// examines `children[1..]` with the `Eval_first`/`Refute_rest` discipline
-/// under `window` and returns the node's final value.
+/// under `window` and any [`Hooks`], and returns the node's final value.
 ///
 /// This is the serial-frontier form of a promoted e-child in the parallel
 /// engine: its elder grandchild was evaluated earlier as its own unit of
-/// work, and the rest of the subtree is finished serially.
-pub fn er_refute_rest<P: GamePosition>(
+/// work, and the rest of the subtree is finished serially. A cutoff in the
+/// continuation loop credits the cutting child to the ordering tables
+/// against the *parent* node (one ply above the children), matching what
+/// the in-tree `Refute_rest` records.
+pub fn er_refute_rest_with<P, T, C, R, O>(
     children: &[P],
     child_depth: u32,
     child_ply: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     initial_value: Value,
-) -> SearchResult {
-    er_refute_rest_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        (),
+    hooks: Hooks<T, C, R, O>,
+) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+    O: OrdAccess,
+{
+    let ord = hooks.ord;
+    run_serial(
+        hooks,
+        RefuteRest {
+            children,
+            child_depth,
+            child_ply,
+            window,
+            cfg,
+            initial_value,
+            ord,
+        },
     )
 }
 
-/// [`er_refute_rest`] sharing `table`.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_tt<P: GamePosition + Zobrist>(
-    children: &[P],
+/// The continuation loop of [`er_refute_rest_with`] as a [`SerialBody`].
+struct RefuteRest<'a, P, O> {
+    children: &'a [P],
     child_depth: u32,
     child_ply: u32,
-    window: gametree::Window,
+    window: Window,
     cfg: ErConfig,
     initial_value: Value,
-    table: &TranspositionTable,
-) -> SearchResult {
-    er_refute_rest_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        table,
-    )
-}
-
-/// [`er_refute_rest`] generic over the table handle (`()` or
-/// `&TranspositionTable`), for the parallel engine's frontier e-children.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_with<P: GamePosition, T: TtAccess<P>>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-) -> SearchResult {
-    let r = er_refute_rest_ctl_with(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        tt,
-        (),
-    );
-    SearchResult {
-        value: r.value,
-        stats: r.stats,
-    }
-}
-
-/// [`er_refute_rest_with`] generic over *both* handles — table and
-/// control.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_ctl_with<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-    ctl: C,
-) -> CtlSearchResult {
-    er_refute_rest_ord(
-        children,
-        child_depth,
-        child_ply,
-        window,
-        cfg,
-        initial_value,
-        tt,
-        ctl,
-        (),
-    )
-}
-
-/// [`er_refute_rest_ctl_with`] additionally generic over the dynamic
-/// move-ordering handle. A cutoff in the continuation loop credits the
-/// cutting child against the *parent* node (one ply above the children),
-/// matching what the in-tree `Refute_rest` records.
-#[allow(clippy::too_many_arguments)]
-pub fn er_refute_rest_ord<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: gametree::Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    tt: T,
-    ctl: C,
     ord: O,
-) -> CtlSearchResult {
-    let mut stats = SearchStats::new();
-    let beta = window.beta;
-    let mut value = window.alpha.max(initial_value);
-    for (i, child) in children.iter().enumerate().skip(1) {
-        if value >= beta {
-            break;
-        }
-        let mut n = ErNode::root(child.clone(), child_depth, child_ply, cfg);
-        let mut step = || -> Option<Value> {
-            let mut t = -eval_first(&mut n, -beta, -value, cfg, tt, ctl, ord, &mut stats)?;
-            if !n.done {
-                t = -refute_rest(&mut n, -beta, -value, cfg, tt, ctl, ord, &mut stats)?;
+}
+
+impl<P: GamePosition, O: OrdAccess> SerialBody<P> for RefuteRest<'_, P, O> {
+    fn run<T: TtAccess<P>, C: CtlAccess>(
+        self,
+        tt: T,
+        ctl: C,
+        stats: &mut SearchStats,
+    ) -> Result<Value, Value> {
+        let (cfg, ord) = (self.cfg, self.ord);
+        let beta = self.window.beta;
+        let mut value = self.window.alpha.max(self.initial_value);
+        for (i, child) in self.children.iter().enumerate().skip(1) {
+            if value >= beta {
+                break;
             }
-            Some(t)
-        };
-        match step() {
-            Some(t) => {
-                if t > value {
-                    value = t;
+            let mut n = ErNode::root(child.clone(), self.child_depth, self.child_ply, cfg);
+            let mut step = || -> Option<Value> {
+                let mut t = -eval_first(&mut n, -beta, -value, cfg, tt, ctl, ord, stats)?;
+                if !n.done {
+                    t = -refute_rest(&mut n, -beta, -value, cfg, tt, ctl, ord, stats)?;
                 }
-            }
-            None => {
-                return CtlSearchResult {
-                    value,
+                Some(t)
+            };
+            value = value.max(step().ok_or(value)?);
+            if value >= beta {
+                stats.cutoffs += 1;
+                note_cutoff(
+                    ord,
+                    self.child_ply.saturating_sub(1),
+                    self.child_depth + 1,
+                    i as u16,
                     stats,
-                    aborted: ctl.reason(),
-                };
+                );
+                break;
             }
         }
-        if value >= beta {
-            stats.cutoffs += 1;
-            note_cutoff(
-                ord,
-                child_ply.saturating_sub(1),
-                child_depth + 1,
-                i as u16,
-                &mut stats,
-            );
-            break;
-        }
-    }
-    CtlSearchResult {
-        value,
-        stats,
-        aborted: None,
+        Ok(value)
     }
 }
 
@@ -1024,20 +811,26 @@ mod tests {
     fn refute_rest_continuation_matches_full_search() {
         // Evaluating child 0 separately and finishing with er_refute_rest
         // must give the same node value as evaluating the node whole.
-        use gametree::Window;
         for seed in 0..8 {
             let node_pos = RandomTreeSpec::new(seed, 4, 5).root();
             let whole = negmax(&node_pos, 5).value;
             let kids = node_pos.children();
             let first = er_search(&kids[0], 4, ErConfig::NATURAL).value;
-            let r = er_refute_rest(&kids, 4, 1, Window::FULL, ErConfig::NATURAL, -first);
+            let r = er_refute_rest_with(
+                &kids,
+                4,
+                1,
+                Window::FULL,
+                ErConfig::NATURAL,
+                -first,
+                Hooks::default(),
+            );
             assert_eq!(r.value, whole, "seed {seed}");
         }
     }
 
     #[test]
     fn refute_rest_respects_beta_cutoff() {
-        use gametree::Window;
         let node_pos = RandomTreeSpec::new(3, 4, 4).root();
         let kids = node_pos.children();
         let first = er_search(&kids[0], 3, ErConfig::NATURAL).value;
@@ -1045,7 +838,15 @@ mod tests {
         // A beta at or below the tentative value refutes immediately: no
         // further children are searched.
         let w = Window::new(Value::NEG_INF, tentative);
-        let r = er_refute_rest(&kids, 3, 1, w, ErConfig::NATURAL, tentative);
+        let r = er_refute_rest_with(
+            &kids,
+            3,
+            1,
+            w,
+            ErConfig::NATURAL,
+            tentative,
+            Hooks::default(),
+        );
         assert!(r.value >= w.beta);
         assert_eq!(r.stats.nodes(), 0, "no work when already refuted");
     }
@@ -1066,22 +867,13 @@ mod tests {
         // handle passed (and warmed by a first pass) every root value must
         // be bit-identical to the plain search.
         use crate::ordering::OrderingTables;
-        use gametree::Window;
         for seed in 0..8 {
             let root = RandomTreeSpec::new(seed, 4, 5).root();
             let plain = er_search(&root, 5, ErConfig::NATURAL).value;
             let tables = OrderingTables::new();
             for _ in 0..2 {
-                let r = er_search_window_ord(
-                    &root,
-                    5,
-                    Window::FULL,
-                    ErConfig::NATURAL,
-                    0,
-                    (),
-                    (),
-                    &tables,
-                );
+                let hooks = Hooks::default().with_ord(&tables);
+                let r = er_search_with(&root, 5, Window::FULL, ErConfig::NATURAL, 0, hooks);
                 assert_eq!(r.value, plain, "seed {seed}");
                 assert!(r.aborted.is_none());
             }
@@ -1094,21 +886,12 @@ mod tests {
         // shared across two passes, the second pass must classify some of
         // them as killer or history hits.
         use crate::ordering::OrderingTables;
-        use gametree::Window;
         let root = RandomTreeSpec::new(3, 4, 6).root();
         let tables = OrderingTables::new();
         let mut second = SearchStats::new();
         for pass in 0..2 {
-            let r = er_search_window_ord(
-                &root,
-                6,
-                Window::FULL,
-                ErConfig::NATURAL,
-                0,
-                (),
-                (),
-                &tables,
-            );
+            let hooks = Hooks::default().with_ord(&tables);
+            let r = er_search_with(&root, 6, Window::FULL, ErConfig::NATURAL, 0, hooks);
             if pass == 1 {
                 second = r.stats;
             }
@@ -1171,5 +954,21 @@ mod tests {
         // depth 4 exactly.
         let deep = er_search(&root, 4, ErConfig::NATURAL);
         assert_eq!(shallow.value, deep.value);
+    }
+
+    #[test]
+    fn churning_ordering_keys_never_break_the_expansion_sort() {
+        // Stand-in for other workers updating the shared tables while this
+        // expansion sorts: every history read returns a fresh value. Each
+        // key must be read once (a cached-key sort), so the sort cannot
+        // see an inconsistent order and the value stays negamax's.
+        use crate::ordering::test_support::Churn;
+        let churn = Churn::default();
+        for seed in 0..4 {
+            let root = RandomTreeSpec::new(seed, 40, 2).root();
+            let hooks = Hooks::default().with_ord(&churn);
+            let r = er_search_with(&root, 2, Window::FULL, ErConfig::NATURAL, 0, hooks);
+            assert_eq!(r.value, negmax(&root, 2).value, "seed {seed}");
+        }
     }
 }

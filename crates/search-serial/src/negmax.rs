@@ -3,48 +3,48 @@
 //! every other algorithm.
 
 use gametree::{GamePosition, SearchStats, Value};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use trace::TraceAccess;
+use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
+use crate::hooks::{run_serial, Hooks, SerialBody};
 use crate::SearchResult;
 
 /// Evaluates `pos` to `depth` plies by exhaustive negamax.
 pub fn negmax<P: GamePosition>(pos: &P, depth: u32) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = negmax_rec(pos, depth, (), (), &mut stats).expect("no control handle");
-    SearchResult { value, stats }
+    negmax_with(pos, depth, Hooks::default()).into()
 }
 
-/// [`negmax`] sharing `table`: every node value is exact, so each position
-/// is stored `Exact` at its remaining depth and an equal-depth hit replays
-/// the whole subtree from memory.
-pub fn negmax_tt<P: GamePosition + Zobrist>(
-    pos: &P,
+/// [`negmax`] with a table, a control and a tracer attached. Every node
+/// value is exact, so each position is stored `Exact` at its remaining
+/// depth and an equal-depth hit replays the whole subtree from memory.
+/// Negamax has no window and prunes nothing, so it takes no ordering
+/// tables. A run the control aborted flags itself via `aborted` and its
+/// value is partial.
+pub fn negmax_with<P, T, C, R>(pos: &P, depth: u32, hooks: Hooks<T, C, R>) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+{
+    run_serial(hooks, Negmax { pos, depth })
+}
+
+/// The negamax recursion as a [`SerialBody`].
+struct Negmax<'a, P> {
+    pos: &'a P,
     depth: u32,
-    table: &TranspositionTable,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = negmax_rec(pos, depth, table, (), &mut stats).expect("no control handle");
-    SearchResult { value, stats }
 }
 
-/// [`negmax`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to [`negmax`];
-/// an aborted one flags itself via `aborted` and its value is partial.
-pub fn negmax_ctl<P: GamePosition>(pos: &P, depth: u32, ctl: &SearchControl) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    let mut stats = SearchStats::new();
-    match negmax_rec(pos, depth, (), &probe, &mut stats) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: Value::NEG_INF,
-            stats,
-            aborted: ctl.reason(),
-        },
+impl<P: GamePosition> SerialBody<P> for Negmax<'_, P> {
+    fn run<T: TtAccess<P>, C: CtlAccess>(
+        self,
+        tt: T,
+        ctl: C,
+        stats: &mut SearchStats,
+    ) -> Result<Value, Value> {
+        negmax_rec(self.pos, self.depth, tt, ctl, stats).ok_or(Value::NEG_INF)
     }
 }
 

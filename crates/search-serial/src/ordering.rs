@@ -260,7 +260,10 @@ impl OrdAccess for &OrderingTables {
 /// statistics, and overriding it measurably *adds* nodes on the Othello
 /// workloads. The sort is stable, so children the tables know nothing
 /// about keep their natural order — with empty tables this is the identity
-/// permutation. A no-op (not even a branch) for the `()` handle.
+/// permutation. Each child's key is read exactly once before sorting:
+/// other workers update shared tables concurrently, and a comparison sort
+/// re-reading changing keys would see no consistent total order. A no-op
+/// (not even a branch) for the `()` handle.
 ///
 /// Callers splice the TT hint *after* ranking, giving the tentpole order
 /// TT-hint → killers → history at unsorted plies, and
@@ -269,7 +272,7 @@ pub fn rank_children<P, O: OrdAccess>(kids: &mut [OrderedChild<P>], ply: u32, or
     if !O::ENABLED || kids.len() < 2 || kids[0].static_eval.is_some() {
         return;
     }
-    kids.sort_by_key(|k| rank_key(ord, ply, k.nat));
+    kids.sort_by_cached_key(|k| rank_key(ord, ply, k.nat));
 }
 
 /// The dynamic-ordering sort key of one child: killer rank first (0, 1, or
@@ -439,8 +442,40 @@ impl<P> DedupHint for Vec<OrderedChild<P>> {
     }
 }
 
+/// Test-only ordering handles.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use std::cell::Cell;
+
+    use super::OrdAccess;
+
+    /// Ordering state that changes on every read — a stand-in for other
+    /// workers updating shared tables while a sort runs. Counts reads.
+    #[derive(Default)]
+    pub(crate) struct Churn {
+        pub(crate) reads: Cell<u64>,
+    }
+
+    impl OrdAccess for &Churn {
+        const ENABLED: bool = true;
+
+        fn record_cutoff(self, _ply: u32, _nat: u16, _depth: u32) {}
+
+        fn killer_rank(self, _ply: u32, _nat: u16) -> u8 {
+            2
+        }
+
+        fn history(self, nat: u16) -> u32 {
+            let n = self.reads.get() + 1;
+            self.reads.set(n);
+            (gametree::random::splitmix64(n ^ u64::from(nat)) >> 40) as u32
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_support::Churn;
     use super::*;
     use gametree::arena::{leaf, node, ArenaTree};
 
@@ -667,5 +702,27 @@ mod tests {
         assert!(!SelectivityConfig::OFF.enabled());
         assert!(SelectivityConfig::QUIESCENT.enabled());
         assert_eq!(SelectivityConfig::QUIESCENT.q_extend, 2);
+    }
+
+    #[test]
+    fn rank_children_reads_each_key_once_under_churning_tables() {
+        // Regression: a comparison sort over keys that change between
+        // reads read 48 keys for 12 children and, at 40 children, panicked
+        // with "user-provided comparison function does not correctly
+        // implement a total order".
+        let mut stats = SearchStats::new();
+        for n in [12usize, 40] {
+            let root = ArenaTree::root_of(&node((0..n as i32).map(leaf).collect()));
+            let churn = Churn::default();
+            for round in 0..2000u64 {
+                let before = churn.reads.get();
+                let mut kids = ordered_children_indexed(&root, 0, OrderPolicy::NATURAL, &mut stats);
+                rank_children(&mut kids, 0, &churn);
+                assert_eq!(churn.reads.get() - before, n as u64, "round {round}");
+                let mut nats: Vec<u16> = kids.iter().map(|k| k.nat).collect();
+                nats.sort_unstable();
+                assert!(nats.iter().copied().eq(0..n as u16), "a permutation");
+            }
+        }
     }
 }

@@ -9,118 +9,81 @@
 //! immediately, making PVS the strongest serial searcher in the workspace.
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use tt::{Bound, TranspositionTable, TtAccess, Zobrist};
+use trace::TraceAccess;
+use tt::{Bound, TtAccess};
 
 use crate::alphabeta::fail_soft_bound;
-use crate::control::{CtlAccess, CtlProbe, CtlSearchResult, SearchControl};
+use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
+use crate::hooks::{run_serial, Hooks, SerialBody};
 use crate::ordering::{note_cutoff, ordered_children_ranked, splice_hint, OrdAccess, OrderPolicy};
 use crate::SearchResult;
 
 /// Evaluates `pos` to `depth` plies with principal-variation search.
 pub fn pvs<P: GamePosition>(pos: &P, depth: u32, policy: OrderPolicy) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value =
-        rec(pos, depth, Window::FULL, 0, policy, (), (), (), &mut stats).expect("no control");
-    SearchResult { value, stats }
+    pvs_with(pos, depth, Window::FULL, policy, Hooks::default()).into()
 }
 
-/// [`pvs`] under a [`SearchControl`]: polls `ctl` at every node and
-/// unwinds when it trips. A completed run is bit-identical to [`pvs`]; an
-/// aborted one flags itself via `aborted` and its value is partial.
-pub fn pvs_ctl<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    policy: OrderPolicy,
-    ctl: &SearchControl,
-) -> CtlSearchResult {
-    let probe = CtlProbe::new(ctl);
-    let mut stats = SearchStats::new();
-    match rec(
-        pos,
-        depth,
-        Window::FULL,
-        0,
-        policy,
-        (),
-        &probe,
-        (),
-        &mut stats,
-    ) {
-        Some(value) => CtlSearchResult {
-            value,
-            stats,
-            aborted: None,
-        },
-        None => CtlSearchResult {
-            value: Value::NEG_INF,
-            stats,
-            aborted: ctl.reason(),
-        },
-    }
-}
-
-/// PVS with an explicit initial window (fail-soft).
-pub fn pvs_window<P: GamePosition>(
+/// PVS under `window` (fail-soft) with any [`Hooks`]. A table's stored
+/// best move steers the full-window first-child search onto the principal
+/// variation, which is what PVS's null-window probes bet on; killer/history
+/// ranking steers the probes onto refuting children. A run the control
+/// aborted flags itself via `aborted` and its value is partial.
+pub fn pvs_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
     window: Window,
     policy: OrderPolicy,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(pos, depth, window, 0, policy, (), (), (), &mut stats).expect("no control");
-    SearchResult { value, stats }
-}
-
-/// [`pvs`] sharing `table`. The stored best move steers the full-window
-/// first-child search onto the principal variation, which is what PVS's
-/// null-window probes bet on.
-pub fn pvs_tt<P: GamePosition + Zobrist>(
-    pos: &P,
-    depth: u32,
-    policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(
-        pos,
-        depth,
-        Window::FULL,
-        0,
-        policy,
-        table,
-        (),
-        (),
-        &mut stats,
+    hooks: Hooks<T, C, R, O>,
+) -> CtlSearchResult
+where
+    P: GamePosition,
+    T: TtAccess<P>,
+    C: CtlHook,
+    R: TraceAccess,
+    O: OrdAccess,
+{
+    let ord = hooks.ord;
+    run_serial(
+        hooks,
+        Pvs {
+            pos,
+            depth,
+            window,
+            policy,
+            ord,
+        },
     )
-    .expect("no control");
-    SearchResult { value, stats }
 }
 
-/// [`pvs_window`] sharing `table`.
-pub fn pvs_window_tt<P: GamePosition + Zobrist>(
-    pos: &P,
+/// The PVS recursion as a [`SerialBody`].
+struct Pvs<'a, P, O> {
+    pos: &'a P,
     depth: u32,
     window: Window,
     policy: OrderPolicy,
-    table: &TranspositionTable,
-) -> SearchResult {
-    pvs_window_ord(pos, depth, window, policy, table, ())
-}
-
-/// [`pvs_window_tt`] generic over *both* handles — table and dynamic
-/// move-ordering. Killer/history ranking steers the null-window probes
-/// onto refuting children, which is precisely where PVS's bet pays off.
-pub fn pvs_window_ord<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
-    policy: OrderPolicy,
-    tt: T,
     ord: O,
-) -> SearchResult {
-    let mut stats = SearchStats::new();
-    let value = rec(pos, depth, window, 0, policy, tt, (), ord, &mut stats).expect("no control");
-    SearchResult { value, stats }
+}
+
+impl<P: GamePosition, O: OrdAccess> SerialBody<P> for Pvs<'_, P, O> {
+    fn run<T: TtAccess<P>, C: CtlAccess>(
+        self,
+        tt: T,
+        ctl: C,
+        stats: &mut SearchStats,
+    ) -> Result<Value, Value> {
+        rec(
+            self.pos,
+            self.depth,
+            self.window,
+            0,
+            self.policy,
+            tt,
+            ctl,
+            self.ord,
+            stats,
+        )
+        .ok_or(Value::NEG_INF)
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -303,7 +266,8 @@ mod tests {
             let root = RandomTreeSpec::new(seed, 3, 5).root();
             let exact = negmax(&root, 5).value;
             let w = Window::new(Value::new(exact.get() - 10), Value::new(exact.get() + 10));
-            assert_eq!(pvs_window(&root, 5, w, OrderPolicy::NATURAL).value, exact);
+            let r = pvs_with(&root, 5, w, OrderPolicy::NATURAL, Hooks::default());
+            assert_eq!(r.value, exact);
         }
     }
 

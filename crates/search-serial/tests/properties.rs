@@ -7,8 +7,8 @@ use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value, Window};
 use proptest::prelude::*;
 use search_serial::{
-    alphabeta, alphabeta_nodeep, alphabeta_pv, alphabeta_window, aspiration, er_search,
-    iterative_deepening, negmax, ErConfig, OrderPolicy,
+    alphabeta, alphabeta_nodeep, alphabeta_pv, alphabeta_with, aspiration, er_search,
+    iterative_deepening, negmax, ErConfig, Hooks, OrderPolicy,
 };
 
 fn arb_tree() -> impl Strategy<Value = TreeSpec> {
@@ -51,7 +51,7 @@ proptest! {
         let root = ArenaTree::root_of(&spec);
         let exact = negmax(&root, 32).value;
         let w = Window::new(Value::new(a), Value::new(b));
-        let r = alphabeta_window(&root, 32, w, OrderPolicy::NATURAL).value;
+        let r = alphabeta_with(&root, 32, w, OrderPolicy::NATURAL, Hooks::default()).value;
         if w.contains(exact) {
             prop_assert_eq!(r, exact, "inside the window the result is exact");
         }

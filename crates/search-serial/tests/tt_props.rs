@@ -1,13 +1,18 @@
 //! Property matrix for the transposition-table back-ends: across random
 //! seeds × degrees × depths × table sizes (down to a single 4-way
-//! bucket), every `*_tt` search must return exactly plain negamax's root
-//! value. This is the repo's load-bearing TT invariant — equal-depth
-//! probe matching keeps TT-on values bit-identical to TT-off.
+//! bucket), every table-backed search must return exactly plain
+//! negamax's root value. This is the repo's load-bearing TT invariant —
+//! equal-depth probe matching keeps TT-on values bit-identical to TT-off.
 
 use gametree::random::RandomTreeSpec;
+use gametree::Window;
 use proptest::prelude::*;
-use search_serial::{alphabeta_tt, er_search_tt, negmax, negmax_tt, pvs_tt, ErConfig, OrderPolicy};
+use search_serial::{
+    alphabeta_with, er_search_with, negmax, negmax_with, pvs_with, ErConfig, Hooks, OrderPolicy,
+};
 use tt::TranspositionTable;
+
+const W: Window = Window::FULL;
 
 proptest! {
     #[test]
@@ -20,14 +25,15 @@ proptest! {
         let root = RandomTreeSpec::new(seed, degree, depth).root();
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(bits);
-        prop_assert_eq!(negmax_tt(&root, depth, &table).value, exact);
+        let h = Hooks::default().with_tt(&table);
+        prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
-            alphabeta_tt(&root, depth, OrderPolicy::NATURAL, &table).value,
+            alphabeta_with(&root, depth, W, OrderPolicy::NATURAL, h).value,
             exact
         );
-        prop_assert_eq!(pvs_tt(&root, depth, OrderPolicy::NATURAL, &table).value, exact);
+        prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::NATURAL, h).value, exact);
         prop_assert_eq!(
-            er_search_tt(&root, depth, ErConfig::NATURAL, &table).value,
+            er_search_with(&root, depth, W, ErConfig::NATURAL, 0, h).value,
             exact
         );
     }
@@ -42,14 +48,15 @@ proptest! {
         let root = RandomTreeSpec::new(seed, 4, depth).root();
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(2);
-        prop_assert_eq!(negmax_tt(&root, depth, &table).value, exact);
+        let h = Hooks::default().with_tt(&table);
+        prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
-            alphabeta_tt(&root, depth, OrderPolicy::ALWAYS, &table).value,
+            alphabeta_with(&root, depth, W, OrderPolicy::ALWAYS, h).value,
             exact
         );
-        prop_assert_eq!(pvs_tt(&root, depth, OrderPolicy::ALWAYS, &table).value, exact);
+        prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::ALWAYS, h).value, exact);
         prop_assert_eq!(
-            er_search_tt(&root, depth, ErConfig::NATURAL, &table).value,
+            er_search_with(&root, depth, W, ErConfig::NATURAL, 0, h).value,
             exact
         );
     }

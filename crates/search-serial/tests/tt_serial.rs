@@ -1,55 +1,52 @@
-//! Every serial `*_tt` back-end must return exactly the value of its
-//! table-free twin (and of plain negamax), whatever the table has seen
-//! before — including entries written by *other* algorithms, torn
-//! generations, and tiny tables that evict constantly.
+//! Every serial back-end with a table attached must return exactly the
+//! value of the table-free search (and of plain negamax), whatever the
+//! table has seen before — including entries written by *other*
+//! algorithms, torn generations, and tiny tables that evict constantly.
 
 use gametree::ordered::OrderedTreeSpec;
 use gametree::tictactoe::TicTacToe;
-use gametree::Value;
+use gametree::{Value, Window};
 use search_serial::{
-    alphabeta, alphabeta_tt, aspiration, aspiration_tt, er_search, er_search_tt, negmax, negmax_tt,
-    pvs, pvs_tt, ErConfig, OrderPolicy,
+    alphabeta, alphabeta_with, aspiration, aspiration_tt, er_search, er_search_with, negmax,
+    negmax_with, pvs, pvs_with, ErConfig, Hooks, OrderPolicy,
 };
 use tt::TranspositionTable;
 
+const W: Window = Window::FULL;
+const ALWAYS: OrderPolicy = OrderPolicy::ALWAYS;
+const NATURAL: ErConfig = ErConfig::NATURAL;
+
 #[test]
-fn all_tt_backends_agree_with_their_twins_on_ordered_trees() {
+fn all_tt_backends_agree_with_the_table_free_searches_on_ordered_trees() {
     for seed in 0..6 {
         let root = OrderedTreeSpec::strongly_ordered(seed, 4, 6).root();
         let depth = 6;
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(14);
-        assert_eq!(negmax_tt(&root, depth, &table).value, exact, "negmax");
+        let h = Hooks::default().with_tt(&table);
+        assert_eq!(negmax_with(&root, depth, h).value, exact, "negmax");
         assert_eq!(
-            alphabeta_tt(&root, depth, OrderPolicy::ALWAYS, &table).value,
-            alphabeta(&root, depth, OrderPolicy::ALWAYS).value,
+            alphabeta_with(&root, depth, W, ALWAYS, h).value,
+            alphabeta(&root, depth, ALWAYS).value,
             "alphabeta seed {seed}"
         );
         assert_eq!(
-            pvs_tt(&root, depth, OrderPolicy::ALWAYS, &table).value,
-            pvs(&root, depth, OrderPolicy::ALWAYS).value,
+            pvs_with(&root, depth, W, ALWAYS, h).value,
+            pvs(&root, depth, ALWAYS).value,
             "pvs seed {seed}"
         );
         assert_eq!(
-            er_search_tt(&root, depth, ErConfig::NATURAL, &table).value,
-            er_search(&root, depth, ErConfig::NATURAL).value,
+            er_search_with(&root, depth, W, NATURAL, 0, h).value,
+            er_search(&root, depth, NATURAL).value,
             "er seed {seed}"
         );
         for guess in [-500, 0, 500] {
+            let g = Value::new(guess);
             assert_eq!(
-                aspiration_tt(
-                    &root,
-                    depth,
-                    Value::new(guess),
-                    50,
-                    OrderPolicy::ALWAYS,
-                    &table
-                )
-                .result
-                .value,
-                aspiration(&root, depth, Value::new(guess), 50, OrderPolicy::ALWAYS)
+                aspiration_tt(&root, depth, g, 50, ALWAYS, &table)
                     .result
                     .value,
+                aspiration(&root, depth, g, 50, ALWAYS).result.value,
                 "aspiration seed {seed} guess {guess}"
             );
         }
@@ -63,15 +60,16 @@ fn a_warm_table_replays_subtrees_from_memory() {
     // table must answer from the root entry alone.
     let p = TicTacToe::initial();
     let table = TranspositionTable::with_bits(16);
-    let cold = er_search_tt(&p, 9, ErConfig::NATURAL, &table);
+    let h = Hooks::default().with_tt(&table);
+    let cold = er_search_with(&p, 9, W, NATURAL, 0, h);
     assert_eq!(cold.value, Value::ZERO);
-    let warm = er_search_tt(&p, 9, ErConfig::NATURAL, &table);
+    let warm = er_search_with(&p, 9, W, NATURAL, 0, h);
     assert_eq!(warm.value, Value::ZERO);
     assert_eq!(warm.stats.nodes(), 0, "root hit answers outright");
     let s = table.stats();
     assert!(s.hits > 0, "transpositions must hit: {s:?}");
     // Even the cold search must have cut work against the TT-off baseline.
-    let off = er_search(&p, 9, ErConfig::NATURAL);
+    let off = er_search(&p, 9, NATURAL);
     assert!(
         cold.stats.nodes() < off.stats.nodes(),
         "transposition reuse must prune: {} vs {}",
@@ -87,16 +85,11 @@ fn a_one_bucket_table_stays_correct_under_constant_eviction() {
     for seed in 0..4 {
         let root = OrderedTreeSpec::strongly_ordered(seed, 4, 5).root();
         let table = TranspositionTable::with_bits(2);
+        let h = Hooks::default().with_tt(&table);
         let exact = negmax(&root, 5).value;
-        assert_eq!(
-            er_search_tt(&root, 5, ErConfig::NATURAL, &table).value,
-            exact
-        );
-        assert_eq!(
-            alphabeta_tt(&root, 5, OrderPolicy::ALWAYS, &table).value,
-            exact
-        );
-        assert_eq!(negmax_tt(&root, 5, &table).value, exact);
+        assert_eq!(er_search_with(&root, 5, W, NATURAL, 0, h).value, exact);
+        assert_eq!(alphabeta_with(&root, 5, W, ALWAYS, h).value, exact);
+        assert_eq!(negmax_with(&root, 5, h).value, exact);
     }
 }
 
@@ -106,14 +99,15 @@ fn cross_algorithm_sharing_is_sound() {
     // searches through those entries and must stay exact.
     let p = TicTacToe::initial();
     let table = TranspositionTable::with_bits(16);
-    let exact = negmax_tt(&p, 9, &table).value;
+    let h = Hooks::default().with_tt(&table);
+    let exact = negmax_with(&p, 9, h).value;
     assert_eq!(exact, Value::ZERO);
     assert_eq!(
-        alphabeta_tt(&p, 9, OrderPolicy::NATURAL, &table).value,
+        alphabeta_with(&p, 9, W, OrderPolicy::NATURAL, h).value,
         exact
     );
-    assert_eq!(pvs_tt(&p, 9, OrderPolicy::NATURAL, &table).value, exact);
-    assert_eq!(er_search_tt(&p, 9, ErConfig::NATURAL, &table).value, exact);
+    assert_eq!(pvs_with(&p, 9, W, OrderPolicy::NATURAL, h).value, exact);
+    assert_eq!(er_search_with(&p, 9, W, NATURAL, 0, h).value, exact);
 }
 
 #[test]
@@ -123,9 +117,7 @@ fn generation_aging_keeps_later_searches_correct() {
     let exact = negmax(&root, 6).value;
     for _ in 0..5 {
         table.new_search();
-        assert_eq!(
-            er_search_tt(&root, 6, ErConfig::NATURAL, &table).value,
-            exact
-        );
+        let h = Hooks::default().with_tt(&table);
+        assert_eq!(er_search_with(&root, 6, W, NATURAL, 0, h).value, exact);
     }
 }

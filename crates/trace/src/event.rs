@@ -120,7 +120,7 @@ impl EventKind {
 }
 
 /// `arg` value of a [`EventKind::JobExecute`] span that covers a whole
-/// serial `*_ctl` search rather than one problem-heap task.
+/// serial search rather than one problem-heap task.
 pub const JOB_ARG_SEARCH: u32 = 6;
 
 /// Human label for a [`EventKind::JobExecute`] argument. Indices 0–5 are

@@ -194,6 +194,10 @@ pub trait TraceAccess: Copy + Send + Sync {
     /// Hands a worker's finished ring back to the sink (called once per
     /// thread, after the worker loop).
     fn submit(self, worker: Self::Worker);
+
+    /// Records an instant on the driver row (see
+    /// [`Tracer::driver_instant`]).
+    fn driver_instant(self, kind: EventKind, arg: u32);
 }
 
 /// The "tracing off" handle: workers get `()` recorders and nothing is
@@ -207,6 +211,9 @@ impl TraceAccess for () {
 
     #[inline(always)]
     fn submit(self, _worker: ()) {}
+
+    #[inline(always)]
+    fn driver_instant(self, _kind: EventKind, _arg: u32) {}
 }
 
 impl TraceAccess for &Tracer {
@@ -224,6 +231,10 @@ impl TraceAccess for &Tracer {
         row.events.extend(events);
         row.dropped += dropped;
     }
+
+    fn driver_instant(self, kind: EventKind, arg: u32) {
+        Tracer::driver_instant(self, kind, arg);
+    }
 }
 
 /// One collected timeline row: the retained events (oldest-first) and how
@@ -237,7 +248,7 @@ pub struct RowData {
 }
 
 /// The collection sink for one (or several sequential) searches. Create
-/// one, pass `&tracer` to a `*_trace` entry point, then [`snapshot`] the
+/// one, attach `&tracer` as a search's tracer hook, then [`snapshot`] the
 /// collected data for aggregation or export.
 ///
 /// Sequential runs against the same `Tracer` (e.g. the iterations of an

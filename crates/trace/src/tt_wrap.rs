@@ -3,7 +3,7 @@
 //!
 //! Because every search core is already generic over `T: TtAccess<P>`,
 //! wrapping the handle wires TT telemetry through the threaded back-end
-//! *and* the serial `*_ctl` twins with zero signature changes: the wrapper
+//! *and* the traced serial searches with zero signature changes: the wrapper
 //! rides into `execute_task` and the serial-frontier searches exactly like
 //! the bare handle. With the no-op worker (`()`) the recording calls
 //! vanish and the wrapper compiles down to the inner handle.
@@ -56,6 +56,14 @@ impl<P, T: TtAccess<P>, W: WorkerTrace> TtAccess<P> for Traced<'_, T, W> {
     #[inline]
     fn note_hint_used(self) {
         self.inner.note_hint_used();
+    }
+
+    fn stats(self) -> Option<tt::TtStats> {
+        self.inner.stats()
+    }
+
+    fn new_search(self) {
+        self.inner.new_search();
     }
 }
 

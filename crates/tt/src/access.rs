@@ -10,7 +10,7 @@
 
 use gametree::Value;
 
-use crate::table::{Bound, Probe, TranspositionTable};
+use crate::table::{Bound, Probe, TranspositionTable, TtStats};
 use crate::zobrist::Zobrist;
 
 /// A (possibly absent) transposition-table handle for positions of type
@@ -24,6 +24,15 @@ pub trait TtAccess<P>: Copy {
 
     /// Counts one stored best-move hint actually applied to child ordering.
     fn note_hint_used(self);
+
+    /// The attached table's lifetime counters; `None` without a table.
+    fn stats(self) -> Option<TtStats> {
+        None
+    }
+
+    /// Starts a new search generation on the attached table (see
+    /// [`TranspositionTable::new_search`]); a no-op without a table.
+    fn new_search(self) {}
 }
 
 /// The "no table" implementation: every operation is a no-op.
@@ -54,6 +63,14 @@ impl<P: Zobrist> TtAccess<P> for &TranspositionTable {
     #[inline]
     fn note_hint_used(self) {
         TranspositionTable::note_hint_used(self);
+    }
+
+    fn stats(self) -> Option<TtStats> {
+        Some(TranspositionTable::stats(self))
+    }
+
+    fn new_search(self) {
+        TranspositionTable::new_search(self);
     }
 }
 

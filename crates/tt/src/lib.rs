@@ -28,7 +28,7 @@
 //! heuristic evaluation, a deeper entry is a *different* (usually better)
 //! answer, not the same one — using it would change root values between
 //! TT-on and TT-off runs. Equal-depth matching keeps every search's root
-//! value bit-identical to its table-free twin, which the workspace
+//! value bit-identical to the same search without a table, which the workspace
 //! equivalence tests assert across all back-ends and worker counts.
 
 #![warn(missing_docs)]

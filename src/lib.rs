@@ -21,12 +21,12 @@
 //!   arena (DESIGN.md §9);
 //! * [`er_parallel`] — parallel ER (simulated and real threads) plus the
 //!   §4 baselines: MWF, tree-splitting, pv-splitting, parallel aspiration;
-//! * [`tt`] — sharded lockless concurrent transposition table shared by
-//!   every back-end's `*_tt` entry points (an extension beyond the paper;
-//!   DESIGN.md §8);
+//! * [`tt`] — sharded lockless concurrent transposition table any
+//!   back-end can share through its [`Hooks`](search_serial::Hooks) (an
+//!   extension beyond the paper; DESIGN.md §8);
 //! * [`trace`] — per-worker search telemetry: bounded lock-free event
-//!   rings behind zero-cost `*_trace` entry points, post-run utilization
-//!   and speculation reports, and Chrome-trace timeline export
+//!   rings behind the zero-cost tracer hook, post-run utilization and
+//!   speculation reports, and Chrome-trace timeline export
 //!   (DESIGN.md §11);
 //! * [`engine_server`] — multi-session engine server: a weighted-fair
 //!   session scheduler slicing many concurrent searches onto one worker
@@ -58,7 +58,9 @@
 //!
 //! // Parallel ER on 4 real OS threads, batching up to 16 jobs per lock
 //! // acquisition; the result carries per-thread contention counters.
-//! let thr = run_er_threads_with(&root, 8, 4, 16, &ErParallelConfig::random_tree(4));
+//! let cfg = ErParallelConfig::random_tree(4);
+//! let thr = run_er_threads_exec(&root, 8, 4, &cfg, ThreadsConfig::fixed_batch(16))
+//!     .expect("no deadline, no panic: cannot abort");
 //! assert_eq!(thr.value, ab.value);
 //! assert_eq!(thr.counters().jobs_executed, thr.counters().outcomes_applied);
 //!
@@ -67,14 +69,16 @@
 //! // §14 — `pin: Some(PinPolicy::Compact)` to stop worker migration).
 //! let exec = ThreadsConfig { batch: BatchPolicy::Adaptive, steal: true, pin: None };
 //! assert_eq!(exec, ThreadsConfig::default());
-//! let ws = run_er_threads_exec(&root, 8, 4, &ErParallelConfig::random_tree(4), exec)
-//!     .expect("no deadline, no panic: cannot abort");
+//! let ws = run_er_threads_exec(&root, 8, 4, &cfg, exec).expect("cannot abort");
 //! assert_eq!(ws.value, ab.value);
 //! assert_eq!(ws.counters().pos_clones_in_lock, 0);
 //!
-//! // The same run with one transposition table shared by all workers.
+//! // Every optional handle rides in one `Hooks` bundle (DESIGN.md §16):
+//! // here one transposition table shared by all workers.
 //! let table = TranspositionTable::with_bits(16);
-//! let ttr = run_er_threads_tt(&root, 8, 4, 16, &ErParallelConfig::random_tree(4), &table);
+//! let hooks = Hooks::default().with_tt(&table);
+//! let ttr = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//!     .expect("cannot abort");
 //! assert_eq!(ttr.value, ab.value);
 //! assert!(ttr.tt.expect("table stats").probes > 0);
 //!
@@ -83,19 +87,20 @@
 //! // hanging, and the anytime iterative-deepening driver always reports
 //! // the deepest fully-completed value.
 //! let ctl = SearchControl::unlimited();
-//! let ok = run_er_threads_ctl(&root, 8, 4, &ErParallelConfig::random_tree(4), exec, &ctl)
+//! let hooks = Hooks::default().with_ctl(&ctl);
+//! let ok = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
 //!     .expect("unlimited control cannot trip");
 //! assert_eq!(ok.value, ab.value);
 //!
-//! let id = run_er_threads_id(&root, 8, 4, &ErParallelConfig::random_tree(4), exec,
-//!                            &SearchControl::unlimited());
+//! let id = run_er_threads_id(&root, 8, 4, &cfg, exec, AspirationConfig::OFF, hooks);
 //! assert_eq!(id.depth_completed, 8);
 //! assert_eq!(id.value, ab.value); // bit-identical to the fixed-depth run
 //! assert!(id.stopped.is_none());
 //!
 //! let cancelled = SearchControl::unlimited();
 //! cancelled.cancel();
-//! let err = run_er_threads_ctl(&root, 8, 4, &ErParallelConfig::random_tree(4), exec, &cancelled)
+//! let hooks = Hooks::default().with_ctl(&cancelled);
+//! let err = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
 //!     .expect_err("pre-cancelled control must abort");
 //! assert_eq!(err.reason, AbortReason::Cancelled);
 //! assert_eq!(err.counters.len(), 4, "every thread joined");
@@ -105,9 +110,9 @@
 //! // bit-identical — and the snapshot aggregates to a utilization report
 //! // and exports as a Chrome-trace timeline.
 //! let tracer = Tracer::new();
-//! let traced = run_er_threads_trace(&root, 8, 4, &ErParallelConfig::random_tree(4), exec,
-//!                                   &SearchControl::unlimited(), &tracer)
-//!     .expect("unlimited control cannot trip");
+//! let hooks = Hooks::default().with_tracer(&tracer);
+//! let traced = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//!     .expect("cannot abort");
 //! assert_eq!(traced.value, ab.value);
 //! let data = tracer.snapshot();
 //! assert_eq!(data.workers.len(), 4, "one timeline row per worker");
@@ -150,13 +155,10 @@ pub mod prelude {
     };
     pub use engine_server::{GameClock, TimeControl, TimeManager};
     pub use er_parallel::{
-        run_er_sim, run_er_sim_ord, run_er_threads, run_er_threads_ctl, run_er_threads_ctl_tt,
-        run_er_threads_exec, run_er_threads_exec_tt, run_er_threads_id, run_er_threads_id_asp,
-        run_er_threads_id_asp_tt, run_er_threads_id_trace, run_er_threads_id_trace_tt,
-        run_er_threads_id_tt, run_er_threads_trace, run_er_threads_trace_tt, run_er_threads_tt,
-        run_er_threads_window_ord, run_er_threads_with, AbortReason, AspirationConfig, BatchPolicy,
-        ErIdResult, ErParallelConfig, ErRunResult, ErThreadsResult, PinPolicy, SearchAborted,
-        SearchControl, Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
+        run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec, run_er_threads_id,
+        run_er_threads_with, AbortReason, AspirationConfig, BatchPolicy, ErIdResult,
+        ErParallelConfig, ErRunResult, ErThreadsResult, PinPolicy, SearchAborted, SearchControl,
+        Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
     };
     pub use gametree::ordered::OrderedTreeSpec;
     pub use gametree::random::RandomTreeSpec;
@@ -169,9 +171,9 @@ pub mod prelude {
     pub use problem_heap::ThreadCounters;
     pub use problem_heap::{CostModel, SimReport};
     pub use search_serial::{
-        alphabeta, alphabeta_ctl_traced, alphabeta_nodeep, alphabeta_tt, aspiration, er_search,
-        er_search_ctl_traced, er_search_tt, negmax, negmax_tt, ErConfig, OrderPolicy,
-        OrderingTables, SearchResult, SelectivityConfig,
+        alphabeta, alphabeta_nodeep, alphabeta_with, aspiration, er_search, er_search_with, negmax,
+        negmax_with, pvs, pvs_with, CtlSearchResult, ErConfig, Hooks, OrderPolicy, OrderingTables,
+        SearchResult, SelectivityConfig,
     };
     pub use trace::{
         chrome_json, EventKind, SearchReport, SpecSplit, TraceAccess, TraceData, Tracer,

@@ -21,17 +21,14 @@ fn threaded_ord_value<P: GamePosition>(
     cfg: &ErParallelConfig,
 ) -> Value {
     let tables = OrderingTables::new();
-    run_er_threads_window_ord(
+    run_er_threads_with(
         pos,
         depth,
         Window::FULL,
         threads,
         cfg,
         ThreadsConfig::default(),
-        (),
-        &SearchControl::unlimited(),
-        (),
-        &tables,
+        Hooks::default().with_ord(&tables),
     )
     .expect("unlimited control cannot trip")
     .value
@@ -117,11 +114,10 @@ proptest! {
             }
             let reference = negmax(&pos, 3).value;
             for threads in [1usize, 4] {
-                let got = run_er_threads_window_ord(
-                    &pos, 3, Window::FULL, threads, &cfg,
-                    ThreadsConfig::default(), (),
-                    &SearchControl::unlimited(), (), &tables,
-                ).expect("unlimited control cannot trip").value;
+                let hooks = Hooks::default().with_ord(&tables);
+                let exec = ThreadsConfig::default();
+                let got = run_er_threads_with(&pos, 3, Window::FULL, threads, &cfg, exec, hooks)
+                    .expect("unlimited control cannot trip").value;
                 prop_assert_eq!(got, reference,
                     "othello move {} at {} threads", mv, threads);
             }
@@ -135,11 +131,10 @@ proptest! {
             tables.age_for_new_root(); // tables still warm from Othello: cross-family dirt
             let reference = negmax(&pos, 4).value;
             for threads in [1usize, 4] {
-                let got = run_er_threads_window_ord(
-                    &pos, 4, Window::FULL, threads, &cfg,
-                    ThreadsConfig::default(), (),
-                    &SearchControl::unlimited(), (), &tables,
-                ).expect("unlimited control cannot trip").value;
+                let hooks = Hooks::default().with_ord(&tables);
+                let exec = ThreadsConfig::default();
+                let got = run_er_threads_with(&pos, 4, Window::FULL, threads, &cfg, exec, hooks)
+                    .expect("unlimited control cannot trip").value;
                 prop_assert_eq!(got, reference,
                     "checkers move {} at {} threads", mv, threads);
             }
@@ -159,12 +154,9 @@ proptest! {
         let root = RandomTreeSpec::new(seed, degree, height).root();
         let cfg = ErParallelConfig::random_tree(2);
         let exec = ThreadsConfig::default();
-        let plain = run_er_threads_id(&root, height, 2, &cfg, exec, &SearchControl::unlimited());
-        let asp = run_er_threads_id_asp(
-            &root, height, 2, &cfg, exec,
-            er_parallel::AspirationConfig::narrow(delta),
-            &SearchControl::unlimited(),
-        );
+        let (off, narrow) = (AspirationConfig::OFF, AspirationConfig::narrow(delta));
+        let plain = run_er_threads_id(&root, height, 2, &cfg, exec, off, Hooks::default());
+        let asp = run_er_threads_id(&root, height, 2, &cfg, exec, narrow, Hooks::default());
         prop_assert_eq!(asp.value, plain.value);
         prop_assert_eq!(asp.depth_completed, plain.depth_completed);
         // Every probe either lands in its window or is re-searched once.
@@ -193,9 +185,16 @@ fn sim_ordering_never_adds_nodes_on_o1() {
             if d > 1 {
                 tables.age();
             }
-            on += run_er_sim_ord(&o1, d, workers, &cfg, (), &tables)
-                .stats
-                .nodes();
+            on += run_er_sim_with(
+                &o1,
+                d,
+                Window::FULL,
+                workers,
+                &cfg,
+                Hooks::default().with_ord(&tables),
+            )
+            .stats
+            .nodes();
         }
         assert!(
             on <= off,
