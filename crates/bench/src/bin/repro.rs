@@ -1451,8 +1451,13 @@ fn match_pairing_row(r: &match_harness::MatchResult) -> MatchPairingRow {
                 assert!(
                     m.tt_hits > 0,
                     "{} game {g} move {i} ({engine}): zero TT hits on a \
-                     post-opening move — the table is not staying warm",
-                    r.family.name()
+                     post-opening move — the table is not staying warm \
+                     (completed depth {}, budget {} ms, {} nodes, {} probes)",
+                    r.family.name(),
+                    m.depth,
+                    m.budget_ms,
+                    m.nodes,
+                    m.tt_probes
                 );
                 warm.0 += m.tt_hits;
                 warm.1 += m.tt_probes;

@@ -1,7 +1,7 @@
 //! Minimal JSON serialization for experiment results.
 //!
 //! The build environment has no crates.io access, so instead of serde the
-//! harness uses this small [`ToJson`] trait plus the [`impl_to_json!`]
+//! harness uses this small [`ToJson`] trait plus the `impl_to_json!`
 //! macro for structs. Output matches `serde_json::to_string_pretty`'s
 //! shape (two-space indent) so downstream tooling reading `results/*.json`
 //! is unaffected.
@@ -28,7 +28,7 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-/// Writes a JSON object from named fields (used by [`impl_to_json!`]).
+/// Writes a JSON object from named fields (used by `impl_to_json!`).
 pub fn write_object(out: &mut String, indent: usize, fields: &[(&str, &dyn ToJson)]) {
     if fields.is_empty() {
         out.push_str("{}");

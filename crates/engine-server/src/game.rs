@@ -11,6 +11,7 @@
 //! random-tree node that happen to share an inner hash must not collide in
 //! the *shared* cross-session table.
 
+use er_parallel::ErParallelConfig;
 use gametree::random::{splitmix64, RandomPos, RandomTreeSpec};
 use gametree::{GamePosition, Value};
 use othello::OthelloPos;
@@ -71,6 +72,18 @@ impl AnyPos {
         match self {
             AnyPos::Random(_) => OrderPolicy::NATURAL,
             _ => OrderPolicy::OTHELLO,
+        }
+    }
+
+    /// The per-family configuration of the threaded ER back-end that the
+    /// UCI loop and the match engines run: the random-tree setting at
+    /// serial depth 2, the paper's Othello setting, and for checkers
+    /// natural order at serial depth 3.
+    pub fn er_cfg(&self) -> ErParallelConfig {
+        match self {
+            AnyPos::Random(_) => ErParallelConfig::random_tree(2),
+            AnyPos::Othello(_) => ErParallelConfig::othello(),
+            AnyPos::Checkers(_) => ErParallelConfig::random_tree(3),
         }
     }
 

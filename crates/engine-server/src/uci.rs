@@ -39,10 +39,9 @@
 //! the same counters the registry exposes, not a separate tally) right
 //! before `bestmove`, and the `metrics` command dumps the whole set as
 //! a Prometheus exposition page.
-//! `bestmove` comes from an explicit root split: the parallel region
-//! stores no root table entry, so each depth searches every root child
-//! under the negamax window and the driver owns the best index itself
-//! (the deepest completed depth's choice is what gets reported).
+//! `bestmove` comes from the deepening driver's root split
+//! ([`IdStepper::step_root`]): the deepest completed depth's choice, or
+//! the one-ply greedy child when no depth completed.
 
 use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex};
@@ -50,7 +49,7 @@ use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
 use er_parallel::{AspirationConfig, Hooks, IdStepper, SearchControl, ThreadsConfig};
-use gametree::{GamePosition, SearchStats, Value};
+use gametree::GamePosition;
 use metrics::EngineMetrics;
 use search_serial::alphabeta;
 use tt::TranspositionTable;
@@ -310,69 +309,32 @@ fn search<W: Write + Send>(
     let nodes0 = m.search_nodes_total.value();
     let ns0 = m.search_elapsed_ns_total.value();
     let kids = pos.children();
+    let er_cfg = pos.er_cfg();
     let mut stepper = IdStepper::new(pos.evaluate(), cfg.asp);
-    let mut best_index: Option<usize> = None;
     while !kids.is_empty() && stepper.depth_completed() < max_depth {
         let depth = stepper.next_depth();
         table.new_generation();
-        // The candidate only replaces `best_index` when the whole depth
-        // completes inside the window — a fail-low pass ranks no child
-        // above alpha, so its argmax would be noise.
-        let mut candidate = best_index.unwrap_or(0);
-        let step = stepper.step_with(depth, ctl, (), |d, w, c| {
-            // Root split: the parallel region stores no root table entry,
-            // so the driver owns `bestmove` by searching each child under
-            // the negamax window, previous best first.
-            let mut stats = SearchStats::new();
-            let mut window = w;
-            let mut best: Option<(Value, usize)> = None;
-            let mut order: Vec<usize> = (0..kids.len()).collect();
-            if let Some(at) = order.iter().position(|&i| i == candidate) {
-                order[..=at].rotate_right(1);
-            }
-            for &i in &order {
-                let (v, s) = slice_search(
-                    &kids[i],
-                    d - 1,
-                    window.negate(),
-                    cfg.threads,
-                    &er_cfg(pos),
-                    ThreadsConfig::default(),
-                    Hooks::default().with_tt(table).with_ctl(c).with_metrics(m),
-                    None,
-                )?;
-                stats.merge(&s);
-                let v = -v;
-                if best.is_none_or(|(bv, _)| v > bv) {
-                    best = Some((v, i));
-                    window = window.raise_alpha(v);
-                    if window.is_empty() {
-                        break; // root beta cutoff: fail-hard high
-                    }
-                }
-            }
-            let (v, i) = best.expect("kids checked non-empty");
-            candidate = i;
-            Ok((v, stats))
+        let step = stepper.step_root(depth, ctl, (), kids.len(), |i, d, w, c| {
+            let hooks = Hooks::default().with_tt(table).with_ctl(c).with_metrics(m);
+            let exec = ThreadsConfig::default();
+            slice_search(&kids[i], d, w, cfg.threads, &er_cfg, exec, hooks, None)
         });
-        match step {
-            Ok(s) => {
-                best_index = Some(candidate);
-                let mut o = out.lock().unwrap();
-                writeln!(
-                    o,
-                    "info depth {} score cp {} nodes {} time {}",
-                    s.depth,
-                    s.value.get(),
-                    s.nodes,
-                    s.elapsed.as_millis()
-                )?;
-                o.flush()?;
-            }
-            Err(_) => break,
-        }
+        let Ok(s) = step else { break };
+        let mut o = out.lock().unwrap();
+        writeln!(
+            o,
+            "info depth {} score cp {} nodes {} time {}",
+            s.depth,
+            s.value.get(),
+            s.nodes,
+            s.elapsed.as_millis()
+        )?;
+        o.flush()?;
     }
-    let best = best_move_label(pos, best_index);
+    let best = stepper
+        .best_move(&kids)
+        .and_then(|i| pos.move_label(i))
+        .unwrap_or_else(|| "none".to_string());
     let mut o = out.lock().unwrap();
     let (nodes, ns) = (
         m.search_nodes_total.value() - nodes0,
@@ -386,25 +348,6 @@ fn search<W: Write + Send>(
     writeln!(o, "info string nps {nps} nodes {nodes} elapsed_ns {ns}")?;
     writeln!(o, "bestmove {best}")?;
     o.flush()
-}
-
-/// The per-family search configuration the loop runs with.
-fn er_cfg(pos: &AnyPos) -> er_parallel::ErParallelConfig {
-    match pos {
-        AnyPos::Random(_) => er_parallel::ErParallelConfig::random_tree(2),
-        _ => er_parallel::ErParallelConfig::othello(),
-    }
-}
-
-/// The move to report: the root split's choice from the deepest completed
-/// depth when any depth completed, else the first legal move, else `none`
-/// (game over at the root).
-fn best_move_label(pos: &AnyPos, best_index: Option<usize>) -> String {
-    if pos.degree() == 0 {
-        return "none".to_string();
-    }
-    let idx = best_index.unwrap_or(0).min(pos.degree() - 1);
-    pos.move_label(idx).unwrap_or_else(|| "none".to_string())
 }
 
 /// The solo fixed-depth oracle the protocol tests compare `info` lines

@@ -5,12 +5,12 @@ use std::time::{Duration, Instant};
 
 use engine_server::{AnyPos, GameClock, TimeControl, TimeManager};
 use er_parallel::{
-    run_er_threads_with, AspirationConfig, ErParallelConfig, Hooks, IdStepper, SearchControl,
-    ThreadsConfig,
+    root_split, run_er_threads_with, AbortReason, AspirationConfig, Hooks, IdStepper,
+    SearchControl, ThreadsConfig,
 };
-use gametree::{GamePosition, Value, Window};
+use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::EngineMetrics;
-use search_serial::{alphabeta, alphabeta_with, OrderingTables};
+use search_serial::{alphabeta_with, OrderingTables};
 use tt::{TranspositionTable, TtStats};
 
 /// Which search back-end a [`Player`] runs each move.
@@ -134,8 +134,8 @@ impl Player {
     /// the warm-TT payoff) and the ordering state takes the per-root
     /// aging (`age_for_new_root`: killers cleared, history decayed 8×).
     pub fn choose_move(&mut self, pos: &AnyPos) -> Option<MoveChoice> {
-        let degree = pos.degree();
-        if degree == 0 {
+        let kids = pos.children();
+        if kids.is_empty() {
             return None;
         }
         if self.moves_made > 0 {
@@ -145,15 +145,16 @@ impl Player {
         let budget = self.tm.allot_for(&self.clock, pos);
         let tt_before = self.table.stats();
         let started = Instant::now();
-        let mut choice = match self.spec {
-            EngineSpec::ErThreads { threads } => self.er_move(pos, threads, budget),
-            EngineSpec::SerialId => self.serial_id_move(pos, budget),
-            EngineSpec::FixedDepth { depth } => fixed_depth_move(pos, depth),
+        let (depth, value, index, nodes) = self.decide(pos, &kids, budget);
+        let choice = MoveChoice {
+            index,
+            depth,
+            value,
+            nodes,
+            budget,
+            elapsed: started.elapsed(),
+            tt: self.table.stats().since(&tt_before),
         };
-        choice.index = choice.index.min(degree - 1);
-        choice.budget = budget;
-        choice.elapsed = started.elapsed();
-        choice.tt = self.table.stats().since(&tt_before);
         self.moves_made += 1;
         if let Some(m) = &self.metrics {
             m.match_move_depth.record(0, choice.depth as u64);
@@ -166,191 +167,109 @@ impl Player {
         Some(choice)
     }
 
-    /// The warm-state engine: anytime ER deepening under the budget with
-    /// an explicit root split. The parallel region stores no root TT
-    /// entry, so the driver owns the best move itself: each root child is
-    /// searched by the threaded back-end under the negamax window, the
-    /// previous iteration's best child first so alpha tightens early.
-    fn er_move(&mut self, pos: &AnyPos, threads: usize, budget: Duration) -> MoveChoice {
+    /// Runs the spec's search over the root's children `kids` and returns
+    /// the completed depth, its root value, the chosen child and the
+    /// nodes examined — completed and partial iterations alike.
+    ///
+    /// Every spec chooses through the deepening driver's root split: the
+    /// parallel region stores no root table entry, so the split owns the
+    /// best move. `ErThreads` searches each child with the threaded
+    /// back-end over the warm table and ordering tables; `SerialId` with
+    /// serial alpha-beta under full windows across depths; `FixedDepth`
+    /// is one split at its depth, ignoring the clock.
+    fn decide(&self, pos: &AnyPos, kids: &[AnyPos], budget: Duration) -> (u32, Value, usize, u64) {
         let ctl = SearchControl::with_budget(budget);
         let unlimited = SearchControl::unlimited();
-        let cfg = er_cfg(pos);
-        let table = Arc::clone(&self.table);
-        let mx = self.metrics.as_deref();
-        let ord = &self.ord;
-        let kids = pos.children();
-        let mut stepper = IdStepper::new(pos.evaluate(), self.asp);
+        let policy = pos.order_policy();
         let mut nodes = 0u64;
-        let mut last: Option<(u32, Value)> = None;
-        let mut best_index = greedy_index(pos);
+        let mut serial = |i: usize, d: u32, w: Window, c: &SearchControl| {
+            let r = alphabeta_with(&kids[i], d, w, policy, Hooks::default().with_ctl(c));
+            nodes += r.stats.nodes();
+            r.aborted.map_or(Ok((r.value, r.stats)), Err)
+        };
+        let (depth, value, index) = match self.spec {
+            EngineSpec::ErThreads { threads } => {
+                let cfg = pos.er_cfg();
+                let hooks = Hooks::default()
+                    .with_tt(&*self.table)
+                    .with_ord(&self.ord)
+                    .with_metrics(self.metrics.as_deref());
+                // Depth 1 runs uncontrolled (it costs microseconds): the
+                // engine always has a searched move, however small the
+                // budget.
+                self.deepen(pos, kids, self.asp, &unlimited, &ctl, |i, d, w, c| {
+                    let exec = ThreadsConfig::default();
+                    let r =
+                        run_er_threads_with(&kids[i], d, w, threads, &cfg, exec, hooks.with_ctl(c))
+                            .map_err(|e| e.reason)?;
+                    nodes += r.stats.nodes();
+                    Ok((r.value, r.stats))
+                })
+            }
+            EngineSpec::SerialId => {
+                self.deepen(pos, kids, AspirationConfig::OFF, &ctl, &ctl, serial)
+            }
+            EngineSpec::FixedDepth { depth } => {
+                let child_depth = depth.saturating_sub(1);
+                let (value, index, _) = root_split(kids.len(), 0, Window::FULL, |i, w| {
+                    serial(i, child_depth, w, &unlimited)
+                })
+                .expect("an uncontrolled search never aborts");
+                (depth, value, index)
+            }
+        };
+        (depth, value, index, nodes)
+    }
+
+    /// Anytime deepening up to the depth cap with a move-choosing step per
+    /// depth: depth 1 under `first`, every later depth under `ctl`. A
+    /// depth interrupted by the deadline is discarded whole; with none
+    /// completed the move is the one-ply greedy child.
+    fn deepen(
+        &self,
+        pos: &AnyPos,
+        kids: &[AnyPos],
+        asp: AspirationConfig,
+        first: &SearchControl,
+        ctl: &SearchControl,
+        mut child: impl FnMut(
+            usize,
+            u32,
+            Window,
+            &SearchControl,
+        ) -> Result<(Value, SearchStats), AbortReason>,
+    ) -> (u32, Value, usize) {
+        let mut stepper = IdStepper::new(pos.evaluate(), asp);
         while stepper.depth_completed() < self.max_depth {
             let depth = stepper.next_depth();
-            // Depth 1 runs uncontrolled (it costs microseconds): the
-            // engine always has a searched move, however small the budget.
-            let step_ctl = if depth <= 1 { &unlimited } else { &ctl };
-            // The candidate only replaces `best_index` when the whole
-            // iteration lands inside the window: a fail-low pass ranks no
-            // child above alpha, and its argmax would be noise.
-            let mut candidate = best_index;
-            let step = stepper.step_with(depth, step_ctl, (), |d, w, c| {
-                let mut stats = gametree::SearchStats::new();
-                let mut window = w;
-                let mut best: Option<(Value, usize)> = None;
-                let mut order: Vec<usize> = (0..kids.len()).collect();
-                if let Some(at) = order.iter().position(|&i| i == candidate) {
-                    order[..=at].rotate_right(1);
-                }
-                for &i in &order {
-                    let r = run_er_threads_with(
-                        &kids[i],
-                        d - 1,
-                        window.negate(),
-                        threads,
-                        &cfg,
-                        ThreadsConfig::default(),
-                        Hooks::default()
-                            .with_tt(&*table)
-                            .with_ctl(c)
-                            .with_ord(ord)
-                            .with_metrics(mx),
-                    )
-                    .map_err(|e| e.reason)?;
-                    nodes += r.stats.nodes();
-                    stats.merge(&r.stats);
-                    let v = -r.value;
-                    if best.is_none_or(|(bv, _)| v > bv) {
-                        best = Some((v, i));
-                        window = window.raise_alpha(v);
-                        if window.is_empty() {
-                            break; // root beta cutoff: fail-hard high
-                        }
-                    }
-                }
-                let (v, i) = best.expect("caller checked degree > 0");
-                candidate = i;
-                Ok((v, stats))
-            });
-            match step {
-                Ok(s) => {
-                    last = Some((s.depth, s.value));
-                    best_index = candidate;
-                }
-                Err(_) => break,
+            let step_ctl = if depth <= 1 { first } else { ctl };
+            if stepper
+                .step_root(depth, step_ctl, (), kids.len(), &mut child)
+                .is_err()
+            {
+                break;
             }
         }
-        let (depth, value) = last.unwrap_or((0, pos.evaluate()));
-        MoveChoice {
-            index: best_index,
-            depth,
-            value,
-            nodes,
-            budget,
-            elapsed: Duration::ZERO,
-            tt: TtStats::default(),
-        }
-    }
-
-    /// Anytime serial alpha-beta: per-depth explicit root split so the
-    /// engine owns its best move without a table. A depth interrupted by
-    /// the deadline is discarded whole, like the ID driver does.
-    fn serial_id_move(&self, pos: &AnyPos, budget: Duration) -> MoveChoice {
-        let ctl = SearchControl::with_budget(budget);
-        let policy = pos.order_policy();
-        let kids = pos.children();
-        let mut nodes = 0u64;
-        let mut last: Option<(u32, Value, usize)> = None;
-        'deepening: for depth in 1..=self.max_depth {
-            let mut best: Option<(Value, usize)> = None;
-            for (i, kid) in kids.iter().enumerate() {
-                let r = alphabeta_with(
-                    kid,
-                    depth - 1,
-                    Window::FULL,
-                    policy,
-                    Hooks::default().with_ctl(&ctl),
-                );
-                nodes += r.stats.nodes();
-                if r.aborted.is_some() {
-                    break 'deepening;
-                }
-                let v = -r.value;
-                if best.is_none_or(|(bv, _)| v > bv) {
-                    best = Some((v, i));
-                }
-            }
-            let (v, i) = best.expect("root has children");
-            last = Some((depth, v, i));
-        }
-        let (depth, value, index) = last.unwrap_or_else(|| (0, pos.evaluate(), greedy_index(pos)));
-        MoveChoice {
-            index,
-            depth,
-            value,
-            nodes,
-            budget,
-            elapsed: Duration::ZERO,
-            tt: TtStats::default(),
-        }
-    }
-}
-
-/// The clock-oblivious baseline: a full root split at one fixed depth.
-fn fixed_depth_move(pos: &AnyPos, depth: u32) -> MoveChoice {
-    let policy = pos.order_policy();
-    let mut nodes = 0u64;
-    let mut best: Option<(Value, usize)> = None;
-    for (i, kid) in pos.children().iter().enumerate() {
-        let r = alphabeta(kid, depth.saturating_sub(1), policy);
-        nodes += r.stats.nodes();
-        let v = -r.value;
-        if best.is_none_or(|(bv, _)| v > bv) {
-            best = Some((v, i));
-        }
-    }
-    let (value, index) = best.expect("caller checked degree > 0");
-    MoveChoice {
-        index,
-        depth,
-        value,
-        nodes,
-        budget: Duration::ZERO,
-        elapsed: Duration::ZERO,
-        tt: TtStats::default(),
-    }
-}
-
-/// One-ply greedy fallback when not even depth 1 completed: the child the
-/// static evaluator likes best for the mover (ties to the earliest natural
-/// index, so the choice is deterministic).
-fn greedy_index(pos: &AnyPos) -> usize {
-    let mut best: Option<(Value, usize)> = None;
-    for (i, kid) in pos.children().iter().enumerate() {
-        let v = kid.evaluate(); // child's view: the mover wants the minimum
-        if best.is_none_or(|(bv, _)| v < bv) {
-            best = Some((v, i));
-        }
-    }
-    best.map_or(0, |(_, i)| i)
-}
-
-/// The per-family ER configuration (mirrors the engine server's choice).
-fn er_cfg(pos: &AnyPos) -> ErParallelConfig {
-    match pos {
-        AnyPos::Random(_) => ErParallelConfig::random_tree(2),
-        AnyPos::Othello(_) => ErParallelConfig::othello(),
-        AnyPos::Checkers(_) => ErParallelConfig {
-            serial_depth: 3,
-            ..ErParallelConfig::random_tree(3)
-        },
+        let index = stepper
+            .best_move(kids)
+            .expect("caller checked the root has moves");
+        (stepper.depth_completed(), stepper.value(), index)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use search_serial::alphabeta;
 
     fn tc() -> TimeControl {
         TimeControl::from_millis(200, 5)
+    }
+
+    /// The `FixedDepth` spec's decision at `pos` (it ignores the clock).
+    fn fixed_depth_move(pos: &AnyPos, depth: u32) -> MoveChoice {
+        let mut p = Player::new(EngineSpec::FixedDepth { depth }, tc(), 8, depth);
+        p.choose_move(pos).expect("live position")
     }
 
     #[test]

@@ -84,9 +84,13 @@ fn full_game_contract(family: Family) {
             );
             assert!(
                 m.tt_hits > 0,
-                "{}: move {i} ({} probes) had zero TT hits — table not warm",
+                "{}: move {i} ({} probes) had zero TT hits — table not warm \
+                 (completed depth {}, budget {} ms, {} nodes)",
                 family.name(),
-                m.tt_probes
+                m.tt_probes,
+                m.depth,
+                m.budget_ms,
+                m.nodes
             );
         }
     }

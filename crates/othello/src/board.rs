@@ -7,7 +7,7 @@
 //! serial step, two doubling steps), enough to propagate through the
 //! longest possible chain of six opponent discs with no inner loop and no
 //! runtime-sign shifts. The pre-optimization loop-based kernels survive in
-//! [`reference`] as the equivalence oracle (proptested in this module) and
+//! [`mod@reference`] as the equivalence oracle (proptested in this module) and
 //! as the "old" side of the `repro mech` before/after microbenchmarks.
 
 /// File-A mask (the leftmost column).

@@ -17,6 +17,15 @@
 //! [`run_er_threads_exec`] of that depth returns, because the TT's probe cutoffs are equal-depth-only (a
 //! cross-depth entry is only an ordering hint and hints never change
 //! values). The `repro deadline` experiment asserts exactly that.
+//!
+//! [`IdStepper`] is the one deepening driver in the workspace. Callers
+//! that only need a value (the session scheduler, [`run_er_threads_id`])
+//! step it with [`IdStepper::step_with`]; callers that play a move (the
+//! match engines, the UCI loop) step it with [`IdStepper::step_root`],
+//! which searches each window as one [`root_split`] and keeps the best
+//! move of the deepest completed depth. The split lives in the driver
+//! because the threaded back-end stores no root table entry to read a
+//! move back from.
 
 use std::time::{Duration, Instant};
 
@@ -91,11 +100,18 @@ impl ErIdResult {
 /// accumulated telemetry). That hand-off is what makes the driver
 /// *re-entrant*: all per-session deepening state lives here, none of it in
 /// the loop that happens to be driving it.
+///
+/// A caller that plays a move drives it with [`step_root`](Self::step_root)
+/// instead: the same depth step, with each window searched as one
+/// [`root_split`], and the split's choice kept as
+/// [`best_move`](Self::best_move) once the step completes.
 #[derive(Debug)]
 pub struct IdStepper {
     asp: AspirationConfig,
     result: ErIdResult,
     prev: Option<Value>,
+    /// Root child chosen by the deepest completed [`step_root`](Self::step_root).
+    best: Option<usize>,
 }
 
 impl IdStepper {
@@ -115,6 +131,7 @@ impl IdStepper {
                 re_searches: 0,
             },
             prev: None,
+            best: None,
         }
     }
 
@@ -198,6 +215,49 @@ impl IdStepper {
         Ok(step)
     }
 
+    /// [`step_with`](Self::step_with) for a driver that chooses a move:
+    /// every window of the step is searched as one [`root_split`] over the
+    /// root's `degree` children, the previous depth's best child first.
+    /// `search_child(i, depth - 1, child_window, ctl)` searches child `i`
+    /// and returns its value from the child's side. The split's choice
+    /// replaces [`best_move`](Self::best_move) only when the whole step
+    /// completes: an aborted step keeps the previous depth's move.
+    pub fn step_root<R: TraceAccess>(
+        &mut self,
+        depth: u32,
+        ctl: &SearchControl,
+        tracer: R,
+        degree: usize,
+        mut search_child: impl FnMut(
+            usize,
+            u32,
+            Window,
+            &SearchControl,
+        ) -> Result<(Value, SearchStats), AbortReason>,
+    ) -> Result<DepthResult, AbortReason> {
+        // A re-search starts from the probe's choice; only the last
+        // (exact) pass of a completed step is adopted.
+        let mut candidate = self.best.unwrap_or(0);
+        let step = self.step_with(depth, ctl, tracer, |d, w, c| {
+            let (value, best, stats) =
+                root_split(degree, candidate, w, |i, cw| search_child(i, d - 1, cw, c))?;
+            candidate = best;
+            Ok((value, stats))
+        });
+        if step.is_ok() {
+            self.best = Some(candidate);
+        }
+        step
+    }
+
+    /// The move to play, as a natural index into `kids` (the root's
+    /// children): the choice of the deepest completed
+    /// [`step_root`](Self::step_root), else the one-ply greedy child.
+    /// `None` only when `kids` is empty.
+    pub fn best_move<P: GamePosition>(&self, kids: &[P]) -> Option<usize> {
+        self.best.or_else(|| greedy_child(kids))
+    }
+
     /// The probe and (when it fails outside its window) the single widened
     /// re-search; returns the exact value and the nodes both passes spent.
     fn step_searches<R: TraceAccess>(
@@ -250,6 +310,56 @@ impl IdStepper {
     pub fn into_result(self) -> ErIdResult {
         self.result
     }
+}
+
+/// One root split: searches the root's `degree` children under `window`,
+/// child `first` (`< degree`) first and the rest in natural order,
+/// raising alpha after each child and cutting off once alpha reaches
+/// beta. `search_child(i, child_window)` returns child `i`'s value from
+/// the child's side.
+///
+/// Returns the root value, the child that achieved it and the merged
+/// stats. A value inside `window` is exact and its child achieves it; a
+/// fail-high is a lower bound and a fail-low an upper bound, whose child
+/// means nothing. The first abort is returned as is.
+///
+/// # Panics
+///
+/// If `degree` is zero: a root without moves has nothing to split.
+pub fn root_split(
+    degree: usize,
+    first: usize,
+    window: Window,
+    mut search_child: impl FnMut(usize, Window) -> Result<(Value, SearchStats), AbortReason>,
+) -> Result<(Value, usize, SearchStats), AbortReason> {
+    assert!(degree > 0, "root split of a position without moves");
+    let order = std::iter::once(first).chain((0..degree).filter(|&i| i != first));
+    let mut stats = SearchStats::new();
+    let mut window = window;
+    let mut best: Option<(Value, usize)> = None;
+    for i in order {
+        let (v, s) = search_child(i, window.negate())?;
+        stats.merge(&s);
+        let v = -v;
+        if best.is_none_or(|(bv, _)| v > bv) {
+            best = Some((v, i));
+            window = window.raise_alpha(v);
+            if window.is_empty() {
+                break; // root beta cutoff
+            }
+        }
+    }
+    let (v, i) = best.expect("degree > 0");
+    Ok((v, i, stats))
+}
+
+/// One-ply greedy fallback when not even depth 1 completed: the child the
+/// static evaluator likes best for the mover (ties to the earliest natural
+/// index, so the choice is deterministic).
+fn greedy_child<P: GamePosition>(kids: &[P]) -> Option<usize> {
+    // The child's view: the mover wants the minimum.
+    let (i, _) = kids.iter().enumerate().min_by_key(|(_, k)| k.evaluate())?;
+    Some(i)
 }
 
 /// Configuration of the aspiration-windowed deepening driver.

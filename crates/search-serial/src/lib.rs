@@ -5,7 +5,6 @@
 //!   (§2.1), the serial baseline of the experiments;
 //! * [`nodeep::alphabeta_nodeep`] — alpha-beta without
 //!   deep cutoffs (§2.2), MWF's reference algorithm;
-//! * [`aspiration::aspiration`] — serial aspiration search;
 //! * [`er::er_search`] — serial ER (Figure 8);
 //! * [`pvs::pvs`] — principal-variation (minimal-window) search, the
 //!   primitive behind the §4.4 footnote's pv-splitting variant.
@@ -20,11 +19,9 @@
 #![warn(missing_docs)]
 
 pub mod alphabeta;
-pub mod aspiration;
 pub mod control;
 pub mod er;
 pub mod hooks;
-pub mod iterative;
 pub mod negmax;
 pub mod nodeep;
 pub mod ordering;
@@ -43,13 +40,11 @@ pub struct SearchResult {
 }
 
 pub use alphabeta::{alphabeta, alphabeta_with, fail_soft_bound};
-pub use aspiration::{aspiration, aspiration_static, aspiration_tt};
 pub use control::{
     AbortReason, CtlAccess, CtlHook, CtlProbe, CtlSearchResult, SearchControl, CHECK_PERIOD,
 };
 pub use er::{er_eval_refute_with, er_refute_rest_with, er_search, er_search_with, ErConfig};
 pub use hooks::Hooks;
-pub use iterative::{iterative_deepening, IterativeResult};
 pub use negmax::{negmax, negmax_with};
 pub use nodeep::alphabeta_nodeep;
 pub use ordering::{

@@ -7,8 +7,8 @@ use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value, Window};
 use proptest::prelude::*;
 use search_serial::{
-    alphabeta, alphabeta_nodeep, alphabeta_pv, alphabeta_with, aspiration, er_search,
-    iterative_deepening, negmax, ErConfig, Hooks, OrderPolicy,
+    alphabeta, alphabeta_nodeep, alphabeta_pv, alphabeta_with, er_search, negmax, ErConfig, Hooks,
+    OrderPolicy,
 };
 
 fn arb_tree() -> impl Strategy<Value = TreeSpec> {
@@ -67,18 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn aspiration_is_always_exact(
-        spec in arb_tree(),
-        guess in -200i32..200,
-        delta in 1i32..100,
-    ) {
-        let root = ArenaTree::root_of(&spec);
-        let exact = negmax(&root, 32).value;
-        let r = aspiration(&root, 32, Value::new(guess), delta, OrderPolicy::NATURAL);
-        prop_assert_eq!(r.result.value, exact);
-    }
-
-    #[test]
     fn pruning_never_examines_more_than_negmax(spec in arb_tree()) {
         let root = ArenaTree::root_of(&spec);
         let full = negmax(&root, 32).stats.nodes();
@@ -114,10 +102,6 @@ proptest! {
         let exact = negmax(&root, height).value;
         prop_assert_eq!(alphabeta(&root, height, OrderPolicy::NATURAL).value, exact);
         prop_assert_eq!(er_search(&root, height, ErConfig::NATURAL).value, exact);
-        prop_assert_eq!(
-            iterative_deepening(&root, height.max(1), 50, OrderPolicy::NATURAL).value,
-            negmax(&root, height.max(1)).value
-        );
     }
 
     #[test]

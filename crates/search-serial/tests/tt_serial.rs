@@ -7,8 +7,8 @@ use gametree::ordered::OrderedTreeSpec;
 use gametree::tictactoe::TicTacToe;
 use gametree::{Value, Window};
 use search_serial::{
-    alphabeta, alphabeta_with, aspiration, aspiration_tt, er_search, er_search_with, negmax,
-    negmax_with, pvs, pvs_with, ErConfig, Hooks, OrderPolicy,
+    alphabeta, alphabeta_with, er_search, er_search_with, negmax, negmax_with, pvs, pvs_with,
+    ErConfig, Hooks, OrderPolicy,
 };
 use tt::TranspositionTable;
 
@@ -40,16 +40,6 @@ fn all_tt_backends_agree_with_the_table_free_searches_on_ordered_trees() {
             er_search(&root, depth, NATURAL).value,
             "er seed {seed}"
         );
-        for guess in [-500, 0, 500] {
-            let g = Value::new(guess);
-            assert_eq!(
-                aspiration_tt(&root, depth, g, 50, ALWAYS, &table)
-                    .result
-                    .value,
-                aspiration(&root, depth, g, 50, ALWAYS).result.value,
-                "aspiration seed {seed} guess {guess}"
-            );
-        }
         assert!(table.stats().stores > 0);
     }
 }

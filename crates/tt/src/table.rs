@@ -213,7 +213,7 @@ impl TtStats {
 /// bucket slice: shard selection uses the *high* hash bits and bucket
 /// selection the *low* bits, so consecutive probes of unrelated positions
 /// land in independent allocations. Entries themselves are wait-free
-/// atomics (see [`Slot`]); the shards stripe memory, not locks — there is
+/// atomics (see `Slot`); the shards stripe memory, not locks — there is
 /// nothing to lock.
 pub struct TranspositionTable {
     shards: Vec<Box<[Bucket]>>,

@@ -14,7 +14,7 @@
 //! * [`othello`] — bitboard Othello engine and the O1–O3 benchmark roots;
 //! * [`checkers`] — English draughts (Fishburn's tree-splitting workload);
 //! * [`search_serial`] — negmax, alpha-beta (with and without deep
-//!   cutoffs), aspiration, and serial ER (paper Figure 8);
+//!   cutoffs), principal-variation search, and serial ER (paper Figure 8);
 //! * [`problem_heap`] — deterministic k-processor problem-heap simulation,
 //!   performance metrics, and the threaded back-end's execution
 //!   primitives: bounded work-stealing deques and a lock-free publication
@@ -97,6 +97,25 @@
 //! assert_eq!(id.value, ab.value); // bit-identical to the fixed-depth run
 //! assert!(id.stopped.is_none());
 //!
+//! // Choosing a move (DESIGN.md §15): the same driver, stepped with a
+//! // root split — each root child searched by a closure, the previous
+//! // depth's best child first — keeps the deepest completed depth's move.
+//! let kids = root.children();
+//! let mut stepper = IdStepper::new(root.evaluate(), AspirationConfig::narrow(20));
+//! while stepper.depth_completed() < 6 {
+//!     stepper
+//!         .step_root(stepper.next_depth(), &ctl, (), kids.len(), |i, d, w, c| {
+//!             let hooks = Hooks::default().with_ctl(c);
+//!             run_er_threads_with(&kids[i], d, w, 4, &cfg, exec, hooks)
+//!                 .map(|r| (r.value, r.stats))
+//!                 .map_err(|e| e.reason)
+//!         })
+//!         .expect("unlimited control cannot trip");
+//! }
+//! let best = stepper.best_move(&kids).expect("the root has moves");
+//! let reply = alphabeta(&kids[best], 5, OrderPolicy::NATURAL);
+//! assert_eq!(-reply.value, stepper.value()); // the move achieves the value
+//!
 //! let cancelled = SearchControl::unlimited();
 //! cancelled.cancel();
 //! let hooks = Hooks::default().with_ctl(&cancelled);
@@ -157,8 +176,8 @@ pub mod prelude {
     pub use er_parallel::{
         run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec, run_er_threads_id,
         run_er_threads_with, AbortReason, AspirationConfig, BatchPolicy, ErIdResult,
-        ErParallelConfig, ErRunResult, ErThreadsResult, PinPolicy, SearchAborted, SearchControl,
-        Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
+        ErParallelConfig, ErRunResult, ErThreadsResult, IdStepper, PinPolicy, SearchAborted,
+        SearchControl, Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
     };
     pub use gametree::ordered::OrderedTreeSpec;
     pub use gametree::random::RandomTreeSpec;
@@ -171,7 +190,7 @@ pub mod prelude {
     pub use problem_heap::ThreadCounters;
     pub use problem_heap::{CostModel, SimReport};
     pub use search_serial::{
-        alphabeta, alphabeta_nodeep, alphabeta_with, aspiration, er_search, er_search_with, negmax,
+        alphabeta, alphabeta_nodeep, alphabeta_with, er_search, er_search_with, negmax,
         negmax_with, pvs, pvs_with, CtlSearchResult, ErConfig, Hooks, OrderPolicy, OrderingTables,
         SearchResult, SelectivityConfig,
     };

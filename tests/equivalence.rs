@@ -34,10 +34,6 @@ fn all_values<P: GamePosition>(
             alphabeta_nodeep(pos, depth, order).value,
         ),
         (
-            "aspiration".to_string(),
-            aspiration(pos, depth, Value::ZERO, 100, order).result.value,
-        ),
-        (
             "serial ER".to_string(),
             er_search(
                 pos,
@@ -92,17 +88,53 @@ fn all_values<P: GamePosition>(
         "pvs".to_string(),
         search_serial::pvs(pos, depth, order).value,
     ));
-    if depth >= 1 {
-        out.push((
-            "iterative deepening".to_string(),
-            search_serial::iterative_deepening(pos, depth, 50, order).value,
-        ));
-    }
+    out.push((
+        "aspiration".to_string(),
+        serial_deepening(pos, depth, 100, order, false),
+    ));
+    out.push((
+        "iterative deepening".to_string(),
+        serial_deepening(pos, depth, 50, order, true),
+    ));
     out.push((
         "alphabeta with pv".to_string(),
         search_serial::alphabeta_pv(pos, depth, order).value,
     ));
     out
+}
+
+/// The deepening driver over serial alpha-beta to `depth`, aspiring with
+/// half-width `delta`: a whole-root search per window, or with
+/// `split` the move-choosing root split.
+fn serial_deepening<P: GamePosition>(
+    pos: &P,
+    depth: u32,
+    delta: i32,
+    order: OrderPolicy,
+    split: bool,
+) -> Value {
+    let ctl = SearchControl::unlimited();
+    let asp = AspirationConfig {
+        delta,
+        ordering: false,
+    };
+    let search = |p: &P, d: u32, w: Window| {
+        let r = alphabeta_with(p, d, w, order, Hooks::default());
+        Ok((r.value, r.stats))
+    };
+    let kids = pos.children();
+    let mut stepper = er_parallel::IdStepper::new(pos.evaluate(), asp);
+    for d in 1..=depth {
+        let step = if split && !kids.is_empty() {
+            stepper.step_root(d, &ctl, (), kids.len(), |i, cd, w, _| {
+                search(&kids[i], cd, w)
+            })
+        } else {
+            stepper.step_with(d, &ctl, (), |d, w, _| search(pos, d, w))
+        };
+        step.expect("an uncontrolled search never aborts");
+    }
+    stepper.value()
 }
 
 fn assert_all_agree<P: GamePosition>(pos: &P, depth: u32, serial_depth: u32, order: OrderPolicy) {
