@@ -314,7 +314,7 @@ fn search<W: Write + Send>(
     while !kids.is_empty() && stepper.depth_completed() < max_depth {
         let depth = stepper.next_depth();
         table.new_generation();
-        let step = stepper.step_root(depth, ctl, (), kids.len(), |i, d, w, c| {
+        let step = stepper.step_root(depth, ctl, kids.len(), |i, d, w, c| {
             let hooks = Hooks::default().with_tt(table).with_ctl(c).with_metrics(m);
             let exec = ThreadsConfig::default();
             slice_search(&kids[i], d, w, cfg.threads, &er_cfg, exec, hooks, None)

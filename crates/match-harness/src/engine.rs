@@ -244,7 +244,7 @@ impl Player {
             let depth = stepper.next_depth();
             let step_ctl = if depth <= 1 { first } else { ctl };
             if stepper
-                .step_root(depth, step_ctl, (), kids.len(), &mut child)
+                .step_root(depth, step_ctl, kids.len(), &mut child)
                 .is_err()
             {
                 break;

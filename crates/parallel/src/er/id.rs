@@ -222,11 +222,10 @@ impl IdStepper {
     /// and returns its value from the child's side. The split's choice
     /// replaces [`best_move`](Self::best_move) only when the whole step
     /// completes: an aborted step keeps the previous depth's move.
-    pub fn step_root<R: TraceAccess>(
+    pub fn step_root(
         &mut self,
         depth: u32,
         ctl: &SearchControl,
-        tracer: R,
         degree: usize,
         mut search_child: impl FnMut(
             usize,
@@ -238,7 +237,7 @@ impl IdStepper {
         // A re-search starts from the probe's choice; only the last
         // (exact) pass of a completed step is adopted.
         let mut candidate = self.best.unwrap_or(0);
-        let step = self.step_with(depth, ctl, tracer, |d, w, c| {
+        let step = self.step_with(depth, ctl, (), |d, w, c| {
             let (value, best, stats) =
                 root_split(degree, candidate, w, |i, cw| search_child(i, d - 1, cw, c))?;
             candidate = best;

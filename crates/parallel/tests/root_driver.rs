@@ -69,8 +69,6 @@ fn serial_child<P: GamePosition>(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     /// Aspiration deepening is exact at every depth whatever the window.
     #[test]
     fn serial_aspiration_deepening_is_exact_at_every_depth(
@@ -101,7 +99,7 @@ proptest! {
         let mut stepper = IdStepper::new(root.evaluate(), asp);
         for depth in 1..=5 {
             let s = stepper
-                .step_root(depth, &ctl, (), kids.len(), |i, d, w, c| serial_child(&kids[i], d, w, c))
+                .step_root(depth, &ctl, kids.len(), |i, d, w, c| serial_child(&kids[i], d, w, c))
                 .expect("uncontrolled");
             let exact = negmax(&root, depth).value;
             prop_assert_eq!(s.value, exact, "depth {}", depth);
@@ -225,7 +223,7 @@ fn check_root_split<P: GamePosition + tt::Zobrist>(
         let prev_best = stepper.best_move(&kids).expect("root has moves");
         let mut first = None;
         let s = stepper
-            .step_root(depth, &ctl, (), kids.len(), |i, d, w, c| {
+            .step_root(depth, &ctl, kids.len(), |i, d, w, c| {
                 first.get_or_insert(i);
                 child(i, d, w, c)
             })
@@ -258,7 +256,7 @@ fn check_root_split<P: GamePosition + tt::Zobrist>(
     let kept = stepper.best_move(&kids);
     let cancel = SearchControl::unlimited();
     let mut calls = 0;
-    let step = stepper.step_root(max_depth + 1, &cancel, (), kids.len(), |i, d, w, c| {
+    let step = stepper.step_root(max_depth + 1, &cancel, kids.len(), |i, d, w, c| {
         calls += 1;
         if calls == 2 {
             c.cancel();

@@ -104,7 +104,7 @@
 //! let mut stepper = IdStepper::new(root.evaluate(), AspirationConfig::narrow(20));
 //! while stepper.depth_completed() < 6 {
 //!     stepper
-//!         .step_root(stepper.next_depth(), &ctl, (), kids.len(), |i, d, w, c| {
+//!         .step_root(stepper.next_depth(), &ctl, kids.len(), |i, d, w, c| {
 //!             let hooks = Hooks::default().with_ctl(c);
 //!             run_er_threads_with(&kids[i], d, w, 4, &cfg, exec, hooks)
 //!                 .map(|r| (r.value, r.stats))

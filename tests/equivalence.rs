@@ -126,9 +126,7 @@ fn serial_deepening<P: GamePosition>(
     let mut stepper = er_parallel::IdStepper::new(pos.evaluate(), asp);
     for d in 1..=depth {
         let step = if split && !kids.is_empty() {
-            stepper.step_root(d, &ctl, (), kids.len(), |i, cd, w, _| {
-                search(&kids[i], cd, w)
-            })
+            stepper.step_root(d, &ctl, kids.len(), |i, cd, w, _| search(&kids[i], cd, w))
         } else {
             stepper.step_with(d, &ctl, (), |d, w, _| search(pos, d, w))
         };
