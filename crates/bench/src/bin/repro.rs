@@ -20,10 +20,9 @@
 //! repro tt          shared transposition table on/off across worker
 //!                   counts (accepts --tt-bits N; writes BENCH_tt.json
 //!                   at the repo root)
-//! repro scaling     work-stealing execution layer vs the fixed-batch
-//!                   baseline across thread counts (accepts
-//!                   --threads 1,2,4,8; writes BENCH_scaling.json at
-//!                   the repo root)
+//! repro scaling     work-stealing execution layer across thread counts
+//!                   (accepts --threads 1,2,4,8; writes
+//!                   BENCH_scaling.json at the repo root)
 //! repro deadline    abort-safe search control: anytime iterative
 //!                   deepening under shrinking wall-clock budgets, plus
 //!                   full-budget equality vs the fixed-depth back-end
@@ -509,7 +508,6 @@ fn ordering() {
         o1.depth,
         2,
         &cfg,
-        er_parallel::ThreadsConfig::default(),
         er_parallel::AspirationConfig::narrow(DYN_ORDERING_DELTA_TIGHT),
         Hooks::default().with_tt(&table).with_tracer(&tracer),
     );
@@ -574,12 +572,11 @@ fn threads() {
     println!("\n=== Threaded back-end: contention and memoization (R1, O1) ===");
     let rows = threads_rows();
     println!(
-        "{:<5} {:>5} {:>6} {:>7} {:>5} {:>8} {:>7} {:>7} {:>7} {:>9} {:>8} {:>6} {:>8}",
+        "{:<5} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>9} {:>8} {:>6} {:>8}",
         "tree",
         "depth",
         "sdepth",
         "threads",
-        "batch",
         "nodes",
         "evals",
         "cached",
@@ -591,12 +588,11 @@ fn threads() {
     );
     for r in &rows {
         println!(
-            "{:<5} {:>5} {:>6} {:>7} {:>5} {:>8} {:>7} {:>7} {:>7} {:>9} {:>7.1}x {:>6} {:>8.1}",
+            "{:<5} {:>5} {:>6} {:>7} {:>8} {:>7} {:>7} {:>7} {:>9} {:>7.1}x {:>6} {:>8.1}",
             r.tree,
             r.depth,
             r.serial_depth,
             r.threads,
-            r.batch,
             r.nodes,
             r.eval_calls,
             r.cached_leaf_hits,
@@ -607,14 +603,13 @@ fn threads() {
             r.elapsed_ms
         );
     }
-    // The issue's acceptance bar: R1 at 4 threads with the default batch
-    // must need at most half the acquisitions of the seed's
+    // The acceptance bar: R1 at 4 threads must need at most half the acquisitions of the seed's
     // lock-per-select + lock-per-apply design, and the memoized O1 run
     // must make strictly fewer evaluator calls than the seed would.
     let r1 = rows
         .iter()
-        .find(|r| r.tree == "R1" && r.threads == 4 && r.batch == 8)
-        .expect("R1 4-thread batch-8 row");
+        .find(|r| r.tree == "R1" && r.threads == 4)
+        .expect("R1 4-thread row");
     assert!(
         r1.acquisition_ratio >= 2.0,
         "R1@4 threads: expected >=2x acquisition drop, got {:.2}x",
@@ -622,7 +617,7 @@ fn threads() {
     );
     let o1 = rows
         .iter()
-        .find(|r| r.tree == "O1" && r.serial_depth == 0 && r.threads == 4 && r.batch == 8)
+        .find(|r| r.tree == "O1" && r.serial_depth == 0 && r.threads == 4)
         .expect("O1 memo row");
     assert!(
         o1.eval_calls < o1.seed_eval_calls,
@@ -631,7 +626,7 @@ fn threads() {
         o1.seed_eval_calls
     );
     println!(
-        "\nR1 @ 4 threads, batch 8: {:.1}x fewer lock acquisitions than the \
+        "\nR1 @ 4 threads: {:.1}x fewer lock acquisitions than the \
          seed back-end; O1 (fully parallel leaves): {} of {} evaluator calls \
          served from memoized sorting probes.",
         r1.acquisition_ratio, o1.cached_leaf_hits, o1.seed_eval_calls
@@ -767,23 +762,22 @@ fn tt() {
 }
 
 fn scaling() {
-    use er_bench::experiments::{scaling_rows, ScalingRow};
+    use er_bench::experiments::scaling_rows;
     let mut cli = er_bench::cli::Cli::from_env("scaling");
     let threads = cli.threads_list(&[1, 2, 4, 8]);
     cli.finish();
     println!(
-        "\n=== Scaling: work-stealing layer vs baseline (R1, O1; threads {threads:?}) ===\n\
-         (baseline = fixed batch, no stealing, every job through the heap mutex;\n\
-          ws = per-worker deques + stealing + adaptive batch + position arena;\n\
-          counters summed over {} reps per row to damp scheduling noise)",
+        "\n=== Scaling: work-stealing layer (R1, O1; threads {threads:?}) ===\n\
+         (per-worker deques + stealing + adaptive batch above one thread +\n\
+          position arena; counters summed over {} reps per row to damp\n\
+          scheduling noise)",
         er_bench::experiments::SCALING_REPS
     );
     let rows = scaling_rows(&threads);
     println!(
-        "{:<5} {:>7} {:<9} {:>8} {:>9} {:>8} {:>7} {:>9} {:>10} {:>6} {:>8}",
+        "{:<5} {:>7} {:>8} {:>9} {:>8} {:>7} {:>9} {:>10} {:>6} {:>8}",
         "tree",
         "threads",
-        "mode",
         "jobs",
         "locks",
         "acq/job",
@@ -795,10 +789,9 @@ fn scaling() {
     );
     for r in &rows {
         println!(
-            "{:<5} {:>7} {:<9} {:>8} {:>9} {:>8.3} {:>7} {:>9} {:>10.0} {:>6} {:>8.1}",
+            "{:<5} {:>7} {:>8} {:>9} {:>8.3} {:>7} {:>9} {:>10.0} {:>6} {:>8.1}",
             r.tree,
             r.threads,
-            r.mode,
             r.jobs_executed,
             r.lock_acquisitions,
             r.acq_per_job,
@@ -809,44 +802,20 @@ fn scaling() {
             r.elapsed_ms
         );
     }
-    // The issue's acceptance bar, judged over the >=4-thread rows (a
-    // single steal is scheduling luck; an aggregate of zero across every
-    // contended run means the layer is dead). Per-row root values and the
-    // zero-clones-under-the-lock invariant are asserted inside
-    // `scaling_rows` itself.
+    // Judged over the >=4-thread rows: a single steal is scheduling luck;
+    // an aggregate of zero across every contended run means the layer is
+    // dead. Per-row root values and the zero-clones-under-the-lock
+    // invariant are asserted inside `scaling_rows` itself.
     if threads.iter().any(|&t| t >= 4) {
         let hits: u64 = rows
             .iter()
-            .filter(|r| r.mode == "ws" && r.threads >= 4)
+            .filter(|r| r.threads >= 4)
             .map(|r| r.steal_hits)
             .sum();
         assert!(
             hits > 0,
             "work stealing landed zero jobs across all >=4-thread runs"
         );
-        let agg = |mode: &str, tree: &str| {
-            let picked: Vec<&ScalingRow> = rows
-                .iter()
-                .filter(|r| r.mode == mode && r.tree == tree && r.threads >= 4)
-                .collect();
-            let acq: u64 = picked.iter().map(|r| r.lock_acquisitions).sum();
-            let jobs: u64 = picked.iter().map(|r| r.jobs_executed).sum();
-            acq as f64 / jobs.max(1) as f64
-        };
-        for tree in ["R1", "O1"] {
-            let base = agg("baseline", tree);
-            let ws = agg("ws", tree);
-            assert!(
-                ws < base,
-                "{tree}: ws layer must need fewer locks per job than the \
-                 baseline at >=4 threads ({ws:.3} vs {base:.3})"
-            );
-            println!(
-                "{tree} @ >=4 threads: {ws:.3} locks/job with work stealing vs \
-                 {base:.3} baseline ({:.1}% fewer acquisitions per job)",
-                100.0 * (1.0 - ws / base)
-            );
-        }
     }
     save_json("scaling", &rows);
     let mut f = fs::File::create("BENCH_scaling.json").expect("create BENCH_scaling.json");
@@ -1262,19 +1231,10 @@ fn mech() {
             Window::FULL,
             k,
             &cfg,
-            er_parallel::ThreadsConfig::default(),
             Hooks::default().with_tracer(&tracer),
         )
         .expect("unlimited-control run cannot abort");
         backends.push(("er-threads".to_string(), k, r.value));
-        // The same run pinned: placement must never change the value.
-        let pinned = er_parallel::ThreadsConfig {
-            pin: Some(er_parallel::PinPolicy::Compact),
-            ..er_parallel::ThreadsConfig::default()
-        };
-        let rp = er_parallel::run_er_threads_exec(&o1.root, o1.depth, k, &cfg, pinned)
-            .expect("unlimited-control run cannot abort");
-        backends.push(("er-threads-pinned".to_string(), k, rp.value));
     }
     println!("\n{:<18} {:>7} {:>8}", "backend", "workers", "value");
     for (name, k, v) in &backends {

@@ -770,8 +770,8 @@ pub fn dyn_ordering_rows(worker_counts: &[usize]) -> Vec<DynOrderingRow> {
 }
 
 /// One threaded back-end measurement: a tree searched with real OS
-/// threads at a given (threads, batch) setting, with the contention
-/// counters that justify the decomposed-lock design.
+/// threads at a given thread count, with the contention counters that
+/// justify the decomposed-lock design.
 #[derive(Clone, Debug)]
 pub struct ThreadsRow {
     /// Table 3 tree name.
@@ -783,8 +783,6 @@ pub struct ThreadsRow {
     pub serial_depth: u32,
     /// OS threads used.
     pub threads: usize,
-    /// Jobs taken per lock acquisition.
-    pub batch: usize,
     /// Root value (asserted equal to serial alpha-beta before recording).
     pub value: i32,
     /// Nodes examined (may vary with thread scheduling; the value never).
@@ -823,9 +821,7 @@ fn threads_row<P: GamePosition>(
     serial_depth: u32,
     order: OrderPolicy,
     threads: usize,
-    batch: usize,
 ) -> ThreadsRow {
-    use er_parallel::{run_er_threads_exec, ThreadsConfig};
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -833,14 +829,7 @@ fn threads_row<P: GamePosition>(
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
-    let r = run_er_threads_exec(
-        root,
-        depth,
-        threads,
-        &cfg,
-        ThreadsConfig::fixed_batch(batch),
-    )
-    .expect("unlimited run cannot abort");
+    let r = er_parallel::run_er_threads(root, depth, threads, &cfg);
     let exact = alphabeta(root, depth, order).value;
     assert_eq!(
         r.value, exact,
@@ -853,7 +842,6 @@ fn threads_row<P: GamePosition>(
         depth,
         serial_depth,
         threads,
-        batch,
         value: r.value.get(),
         nodes: r.stats.nodes(),
         eval_calls: r.stats.eval_calls,
@@ -882,49 +870,41 @@ fn threads_row<P: GamePosition>(
 ///   calls the seed would have made twice — `eval_calls` vs
 ///   `seed_eval_calls` is the memoization win.
 ///
-/// Each at 1 and 4 threads with batch sizes 1 and 8.
+/// Each at 1 and 4 threads.
 pub fn threads_rows() -> Vec<ThreadsRow> {
     let mut rows = Vec::new();
     let r1 = &crate::trees::random_trees()[0];
     let o1 = &crate::trees::othello_trees()[0];
     for &threads in &[1usize, 4] {
-        for &batch in &[1usize, 8] {
-            rows.push(threads_row(
-                r1.name,
-                &r1.root,
-                r1.depth,
-                r1.serial_depth,
-                r1.order,
-                threads,
-                batch,
-            ));
-            rows.push(threads_row(
-                o1.name,
-                &o1.root,
-                o1.depth,
-                o1.serial_depth,
-                o1.order,
-                threads,
-                batch,
-            ));
-            rows.push(threads_row(
-                o1.name, &o1.root, 5, 0, o1.order, threads, batch,
-            ));
-        }
+        rows.push(threads_row(
+            r1.name,
+            &r1.root,
+            r1.depth,
+            r1.serial_depth,
+            r1.order,
+            threads,
+        ));
+        rows.push(threads_row(
+            o1.name,
+            &o1.root,
+            o1.depth,
+            o1.serial_depth,
+            o1.order,
+            threads,
+        ));
+        rows.push(threads_row(o1.name, &o1.root, 5, 0, o1.order, threads));
     }
     rows
 }
 
 /// One scaling measurement: a Table 3 tree searched by the threaded
-/// back-end at one thread count, in one execution mode.
+/// back-end at one thread count.
 ///
-/// `mode` is `"baseline"` — the PR 1 execution layer (fixed batch of
-/// [`er_parallel::DEFAULT_BATCH`], no stealing: every job flows through
-/// the global heap mutex) — or `"ws"`, the work-stealing layer (adaptive
-/// batch, per-worker deques, steal-before-park, position arena). The
-/// paper's §3.1 argument is that a single shared problem heap serializes
-/// processors on its lock as they multiply; the counters here measure how
-/// far the ws layer pushes that serial fraction down on real threads.
+/// The paper's §3.1 argument is that a single shared problem heap
+/// serializes processors on its lock as they multiply; the counters here
+/// measure that serial fraction on real threads as the work-stealing
+/// layer (per-worker deques, steal-before-park, adaptive batch, position
+/// arena) runs it.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
     /// Table 3 tree name.
@@ -935,8 +915,6 @@ pub struct ScalingRow {
     pub serial_depth: u32,
     /// OS threads used.
     pub threads: usize,
-    /// `"baseline"` or `"ws"` (see type docs).
-    pub mode: String,
     /// Independent repetitions folded into this row. OS scheduling makes
     /// any single run's counters noisy (±10% swings on a loaded host);
     /// every counter below is summed over the repetitions, so the ratios
@@ -954,7 +932,7 @@ pub struct ScalingRow {
     /// `lock_acquisitions / jobs_executed` — the contention figure of
     /// merit; lower is better.
     pub acq_per_job: f64,
-    /// Steal attempts across all workers (0 in baseline mode).
+    /// Steal attempts across all workers (0 at one thread).
     pub steal_attempts: u64,
     /// Steals that yielded a job.
     pub steal_hits: u64,
@@ -967,9 +945,9 @@ pub struct ScalingRow {
     /// Deep position clones taken while holding the mutex — the PR's
     /// invariant keeps this at zero (asserted before recording).
     pub pos_clones_in_lock: u64,
-    /// Adaptive batch-size increases.
+    /// Adaptive batch-size increases (0 at one thread).
     pub batch_grows: u64,
-    /// Adaptive batch-size decreases.
+    /// Adaptive batch-size decreases (0 at one thread).
     pub batch_shrinks: u64,
     /// Wall-clock milliseconds, summed over reps.
     pub elapsed_ms: f64,
@@ -978,19 +956,15 @@ pub struct ScalingRow {
 /// Repetitions folded into each scaling row (see [`ScalingRow::reps`]).
 pub const SCALING_REPS: u32 = 3;
 
-#[allow(clippy::too_many_arguments)]
-fn scaling_row<P: GamePosition>(
-    name: &str,
-    root: &P,
-    depth: u32,
-    serial_depth: u32,
-    order: OrderPolicy,
-    threads: usize,
-    mode: &str,
-    exec: er_parallel::ThreadsConfig,
-) -> ScalingRow {
-    use er_parallel::run_er_threads_exec;
+fn scaling_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> ScalingRow {
     use problem_heap::ThreadCounters;
+    let (name, root, depth, serial_depth, order) = (
+        tree.name,
+        &tree.root,
+        tree.depth,
+        tree.serial_depth,
+        tree.order,
+    );
     let cfg = ErParallelConfig {
         serial_depth,
         order,
@@ -1003,16 +977,15 @@ fn scaling_row<P: GamePosition>(
     let mut nodes = 0u64;
     let mut elapsed_ms = 0.0f64;
     for _ in 0..SCALING_REPS {
-        let r = run_er_threads_exec(root, depth, threads, &cfg, exec)
-            .expect("unlimited-control scaling run cannot abort");
+        let r = er_parallel::run_er_threads(root, depth, threads, &cfg);
         assert_eq!(
             r.value, exact,
-            "{name} {mode}@{threads}: threaded back-end disagrees with alpha-beta"
+            "{name}@{threads}: threaded back-end disagrees with alpha-beta"
         );
         let rep = r.counters();
         assert_eq!(
             rep.pos_clones_in_lock, 0,
-            "{name} {mode}@{threads}: position cloned while the heap mutex was held"
+            "{name}@{threads}: position cloned while the heap mutex was held"
         );
         c.merge(&rep);
         nodes += r.stats.nodes();
@@ -1023,7 +996,6 @@ fn scaling_row<P: GamePosition>(
         depth,
         serial_depth,
         threads,
-        mode: mode.to_string(),
         reps: SCALING_REPS,
         value: exact.get(),
         nodes,
@@ -1043,46 +1015,19 @@ fn scaling_row<P: GamePosition>(
 }
 
 /// The scaling grid: R1 and O1 at Table 3 settings, at each requested
-/// thread count, baseline execution vs the work-stealing layer.
+/// thread count.
 ///
 /// Every row's root value is asserted against serial alpha-beta and every
-/// row's `pos_clones_in_lock` is asserted zero; the cross-row comparisons
-/// (steal hits, locks per job) live in `repro scaling`, which knows which
-/// thread counts were requested.
+/// row's `pos_clones_in_lock` is asserted zero; the cross-row check (steal
+/// hits) lives in `repro scaling`, which knows which thread counts were
+/// requested.
 pub fn scaling_rows(thread_counts: &[usize]) -> Vec<ScalingRow> {
-    use er_parallel::{BatchPolicy, ThreadsConfig, DEFAULT_BATCH};
-    let baseline = ThreadsConfig {
-        batch: BatchPolicy::Fixed(DEFAULT_BATCH),
-        steal: false,
-        pin: None,
-    };
-    let ws = ThreadsConfig::default();
     let r1 = &crate::trees::random_trees()[0];
     let o1 = &crate::trees::othello_trees()[0];
     let mut rows = Vec::new();
     for &threads in thread_counts {
-        for (mode, exec) in [("baseline", baseline), ("ws", ws)] {
-            rows.push(scaling_row(
-                r1.name,
-                &r1.root,
-                r1.depth,
-                r1.serial_depth,
-                r1.order,
-                threads,
-                mode,
-                exec,
-            ));
-            rows.push(scaling_row(
-                o1.name,
-                &o1.root,
-                o1.depth,
-                o1.serial_depth,
-                o1.order,
-                threads,
-                mode,
-                exec,
-            ));
-        }
+        rows.push(scaling_row(r1, threads));
+        rows.push(scaling_row(o1, threads));
     }
     rows
 }
@@ -1126,7 +1071,7 @@ fn deadline_anytime_row<P: GamePosition>(
     threads: usize,
     budget: Option<std::time::Duration>,
 ) -> DeadlineRow {
-    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl, ThreadsConfig};
+    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl};
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1143,7 +1088,6 @@ fn deadline_anytime_row<P: GamePosition>(
         tree.depth,
         threads,
         &cfg,
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default().with_ctl(&ctl),
     );
@@ -1169,9 +1113,7 @@ fn deadline_anytime_row<P: GamePosition>(
 }
 
 fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> DeadlineRow {
-    use er_parallel::{
-        run_er_threads_exec, run_er_threads_id, AspirationConfig, Hooks, ThreadsConfig,
-    };
+    use er_parallel::{run_er_threads, run_er_threads_id, AspirationConfig, Hooks};
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
@@ -1179,20 +1121,12 @@ fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) ->
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
-    let fixed = run_er_threads_exec(
-        &tree.root,
-        tree.depth,
-        threads,
-        &cfg,
-        ThreadsConfig::default(),
-    )
-    .expect("unlimited fixed-depth run cannot abort");
+    let fixed = run_er_threads(&tree.root, tree.depth, threads, &cfg);
     let id = run_er_threads_id(
         &tree.root,
         tree.depth,
         threads,
         &cfg,
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default(),
     );
@@ -1303,10 +1237,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
     threads: usize,
     bits: u32,
 ) -> TtRow {
-    use er_parallel::{
-        run_er_sim_with, run_er_threads_exec, run_er_threads_with, Hooks, ThreadsConfig,
-        DEFAULT_BATCH,
-    };
+    use er_parallel::{run_er_sim_with, run_er_threads, run_er_threads_with, Hooks};
     use gametree::Window;
     let cfg = ErParallelConfig {
         serial_depth,
@@ -1334,14 +1265,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
             (r.value, r.stats, table.stats(), 0.0)
         }
         (_, 0) => {
-            let r = run_er_threads_exec(
-                root,
-                depth,
-                threads,
-                &cfg,
-                ThreadsConfig::fixed_batch(DEFAULT_BATCH),
-            )
-            .expect("unlimited run cannot abort");
+            let r = run_er_threads(root, depth, threads, &cfg);
             (
                 r.value,
                 r.stats,
@@ -1356,7 +1280,6 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
                 Window::FULL,
                 threads,
                 &cfg,
-                ThreadsConfig::fixed_batch(DEFAULT_BATCH),
                 Hooks::default().with_tt(&table),
             )
             .expect("unlimited run cannot abort");
@@ -1498,7 +1421,7 @@ pub struct TraceRow {
 /// untraced runs agree with serial alpha-beta, and collapses each run's
 /// snapshot into a [`TraceRow`].
 pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
-    use er_parallel::{run_er_threads_exec, run_er_threads_with, Hooks, ThreadsConfig};
+    use er_parallel::{run_er_threads, run_er_threads_with, Hooks};
     use gametree::Window;
     use trace::{EventKind, SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
@@ -1520,18 +1443,10 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
                 Window::FULL,
                 threads,
                 &cfg,
-                ThreadsConfig::default(),
                 Hooks::default().with_tracer(&tracer),
             )
             .expect("unlimited traced run cannot abort");
-            let plain = run_er_threads_exec(
-                &spec.root,
-                spec.depth,
-                threads,
-                &cfg,
-                ThreadsConfig::default(),
-            )
-            .expect("unlimited untraced run cannot abort");
+            let plain = run_er_threads(&spec.root, spec.depth, threads, &cfg);
             assert_eq!(
                 traced.value, exact,
                 "{}@{threads}: traced run disagrees with alpha-beta",
@@ -1630,9 +1545,7 @@ pub struct ChromeExport {
 /// on the returned export are about event structure, never timing
 /// margins.
 pub fn chrome_export(threads: usize) -> ChromeExport {
-    use er_parallel::{
-        run_er_threads_id, AspirationConfig, BatchPolicy, Hooks, SearchControl, ThreadsConfig,
-    };
+    use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl};
     use gametree::Window;
     use std::time::Duration;
     use trace::{SearchReport, Tracer};
@@ -1645,8 +1558,10 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         sel: SelectivityConfig::OFF,
     };
     const BUDGETS_MS: [u64; 12] = [40, 20, 80, 10, 160, 60, 5, 320, 100, 30, 640, 15];
-    // A steal-shaped round lands a ring-surviving hit ~3 times in 4 on a
-    // single-core host; six rounds make an all-miss attempt negligible.
+    // A steal-shaped round landed a ring-surviving hit on its first try in
+    // every attempt of ten 4-thread exports on a 2-vCPU host, and ~3 times
+    // in 4 on a single-core one; six rounds make an all-miss attempt
+    // negligible.
     const STEAL_ROUNDS: u32 = 6;
     // Worker rows merge across deepening iterations, so the export's size
     // is bounded per worker *per depth*; 2048 events each keeps the full
@@ -1673,7 +1588,6 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
             3,
             threads,
             &sel_cfg,
-            ThreadsConfig::default(),
             AspirationConfig::narrow(1),
             Hooks::default()
                 .with_tt(&tt::TranspositionTable::with_bits(14))
@@ -1683,18 +1597,14 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         // steal needs a thief scheduled against a victim whose deque is
         // still full, and the ring's overwrite-oldest policy then has to
         // keep the event to the end of the run. A shallow Othello search
-        // over a thin serial frontier with a large fixed batch maximizes
-        // stealable deque content while keeping the run short; worker
+        // over a thin serial frontier keeps the deques full of stealable
+        // jobs while keeping the run short; worker
         // rows merge across runs, so repeating it until a hit survives
         // in some ring (bounded rounds) accumulates — the budgeted run
         // below is then responsible for AbortTrip alone.
         let steal_cfg = ErParallelConfig {
             serial_depth: 3,
             ..sel_cfg
-        };
-        let steal_exec = ThreadsConfig {
-            batch: BatchPolicy::Fixed(16),
-            ..ThreadsConfig::default()
         };
         for _ in 0..STEAL_ROUNDS {
             let _ = er_parallel::run_er_threads_with(
@@ -1703,7 +1613,6 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
                 Window::FULL,
                 threads,
                 &steal_cfg,
-                steal_exec,
                 Hooks::default().with_tracer(&tracer),
             );
             let hit = tracer
@@ -1721,7 +1630,6 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
             spec.depth,
             threads,
             &cfg,
-            ThreadsConfig::default(),
             AspirationConfig::OFF,
             Hooks::default()
                 .with_tt(&table)
@@ -1883,7 +1791,6 @@ impl_to_json!(ScalingRow {
     depth,
     serial_depth,
     threads,
-    mode,
     reps,
     value,
     nodes,
@@ -1958,7 +1865,6 @@ impl_to_json!(ThreadsRow {
     depth,
     serial_depth,
     threads,
-    batch,
     value,
     nodes,
     eval_calls,

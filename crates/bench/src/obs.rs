@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engine_server::AnyPos;
-use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks, ThreadsConfig};
+use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks};
 use gametree::Window;
 use match_harness::{run_match_with, EngineSpec, Family, MatchConfig};
 use metrics::{EngineMetrics, MetricsAccess};
@@ -121,14 +121,12 @@ impl_to_json!(ObsBench {
     exposition_lines
 });
 
-/// One probe search at one thread, timed. Speculation is off for the
-/// probes: speculative selection is timing-dependent even on a single
-/// worker (two unmetered runs differ in node count), so the identity
-/// gate needs the mandatory-only schedule, which is exactly
-/// reproducible at one thread.
+/// One probe search at one thread, timed, in the paper's configuration
+/// (speculation on). A one-thread run takes a fixed batch, so its
+/// schedule — speculative selection included — is reproducible to the
+/// node, and the identity gate can demand equal node counts.
 fn probe<M: MetricsAccess>(pos: &AnyPos, depth: u32, mx: M) -> (i32, u64, Duration) {
-    let mut cfg = ErParallelConfig::random_tree(3);
-    cfg.spec = er_parallel::Speculation::NONE;
+    let cfg = ErParallelConfig::random_tree(3);
     let t0 = Instant::now();
     let r = run_er_threads_with(
         pos,
@@ -136,7 +134,6 @@ fn probe<M: MetricsAccess>(pos: &AnyPos, depth: u32, mx: M) -> (i32, u64, Durati
         Window::FULL,
         1,
         &cfg,
-        ThreadsConfig::default(),
         Hooks::default().with_metrics(mx),
     )
     .expect("an unlimited probe search cannot abort");

@@ -2,7 +2,7 @@
 //! checked here with the trace crate's dependency-free RFC 8259 linter,
 //! so CI needs no jq.
 
-use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks, ThreadsConfig};
+use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks};
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
 use trace::Tracer;
@@ -17,7 +17,6 @@ fn chrome_export_of_a_threaded_run_is_valid_json() {
         Window::FULL,
         2,
         &ErParallelConfig::random_tree(4),
-        ThreadsConfig::default(),
         Hooks::default().with_tracer(&tracer),
     )
     .expect("unlimited traced run cannot abort");

@@ -61,7 +61,6 @@ use std::time::Instant;
 
 use er_parallel::{
     run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
-    ThreadsConfig,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::{EngineMetrics, MetricsAccess};
@@ -392,15 +391,15 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         let depth = sess.stepper.next_depth();
         let ord = sess.ordering.then_some(&self.ord);
         let mx = self.metrics.as_deref();
-        let (pos, threads, cfg, exec) = (&sess.pos, self.cfg.threads, &sess.cfg, self.cfg.exec);
+        let (pos, threads, cfg) = (&sess.pos, self.cfg.threads, &sess.cfg);
         let hooks = Hooks::default().with_tt(&self.table).with_metrics(mx);
         let step = match &sess.tracer {
             Some(t) => sess.stepper.step_with(depth, &ctl, t, |d, w, c| {
                 let hooks = hooks.with_ctl(c).with_tracer(t);
-                slice_search(pos, d, w, threads, cfg, exec, hooks, ord)
+                slice_search(pos, d, w, threads, cfg, hooks, ord)
             }),
             None => sess.stepper.step_with(depth, &ctl, (), |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, exec, hooks.with_ctl(c), ord)
+                slice_search(pos, d, w, threads, cfg, hooks.with_ctl(c), ord)
             }),
         };
         sess.slices += 1;
@@ -474,20 +473,18 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
 /// slice's table, control, trace and metrics hooks. The optional shared
 /// ordering tables are erased here so the caller needs no type-level
 /// branching.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: MetricsAccess>(
     pos: &P,
     depth: u32,
     window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
     hooks: Hooks<&TranspositionTable, &SearchControl, R, (), M>,
     ord: Option<&OrderingTables>,
 ) -> Result<(Value, SearchStats), AbortReason> {
     match ord {
-        Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks.with_ord(o)),
-        None => run_er_threads_with(pos, depth, window, threads, cfg, exec, hooks),
+        Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, hooks.with_ord(o)),
+        None => run_er_threads_with(pos, depth, window, threads, cfg, hooks),
     }
     .map(|r| (r.value, r.stats))
     .map_err(|e| e.reason)

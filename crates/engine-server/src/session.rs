@@ -12,7 +12,7 @@
 
 use std::time::Duration;
 
-use er_parallel::{AbortReason, AspirationConfig, DepthResult, ErParallelConfig, ThreadsConfig};
+use er_parallel::{AbortReason, AspirationConfig, DepthResult, ErParallelConfig};
 use gametree::{GamePosition, Value};
 
 /// Admission priority class of a session.
@@ -225,8 +225,6 @@ impl Response {
 pub struct SchedulerConfig {
     /// Worker threads each slice's search runs with.
     pub threads: usize,
-    /// Execution-layer knobs forwarded to every slice.
-    pub exec: ThreadsConfig,
     /// log2 size of the shared transposition table.
     pub tt_bits: u32,
     /// Sessions time-sliced concurrently; further admitted sessions wait
@@ -250,7 +248,6 @@ impl Default for SchedulerConfig {
     fn default() -> SchedulerConfig {
         SchedulerConfig {
             threads: 2,
-            exec: ThreadsConfig::default(),
             tt_bits: 16,
             max_active: 4,
             max_queued: 16,

@@ -48,7 +48,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::ScopedJoinHandle;
 use std::time::Duration;
 
-use er_parallel::{AspirationConfig, Hooks, IdStepper, SearchControl, ThreadsConfig};
+use er_parallel::{AspirationConfig, Hooks, IdStepper, SearchControl};
 use gametree::GamePosition;
 use metrics::EngineMetrics;
 use search_serial::alphabeta;
@@ -316,8 +316,7 @@ fn search<W: Write + Send>(
         table.new_generation();
         let step = stepper.step_root(depth, ctl, kids.len(), |i, d, w, c| {
             let hooks = Hooks::default().with_tt(table).with_ctl(c).with_metrics(m);
-            let exec = ThreadsConfig::default();
-            slice_search(&kids[i], d, w, cfg.threads, &er_cfg, exec, hooks, None)
+            slice_search(&kids[i], d, w, cfg.threads, &er_cfg, hooks, None)
         });
         let Ok(s) = step else { break };
         let mut o = out.lock().unwrap();

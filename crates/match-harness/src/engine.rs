@@ -5,8 +5,7 @@ use std::time::{Duration, Instant};
 
 use engine_server::{AnyPos, GameClock, TimeControl, TimeManager};
 use er_parallel::{
-    root_split, run_er_threads_with, AbortReason, AspirationConfig, Hooks, IdStepper,
-    SearchControl, ThreadsConfig,
+    root_split, run_er_threads_with, AbortReason, AspirationConfig, Hooks, IdStepper, SearchControl,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::EngineMetrics;
@@ -198,10 +197,8 @@ impl Player {
                 // engine always has a searched move, however small the
                 // budget.
                 self.deepen(pos, kids, self.asp, &unlimited, &ctl, |i, d, w, c| {
-                    let exec = ThreadsConfig::default();
-                    let r =
-                        run_er_threads_with(&kids[i], d, w, threads, &cfg, exec, hooks.with_ctl(c))
-                            .map_err(|e| e.reason)?;
+                    let r = run_er_threads_with(&kids[i], d, w, threads, &cfg, hooks.with_ctl(c))
+                        .map_err(|e| e.reason)?;
                     nodes += r.stats.nodes();
                     Ok((r.value, r.stats))
                 })

@@ -14,7 +14,7 @@
 //! [`run_er_threads_id`] always returns a usable value: the static
 //! evaluation if not even depth 1 finished, otherwise the last completed
 //! root value — bit-identical to what a fixed-depth
-//! [`run_er_threads_exec`] of that depth returns, because the TT's probe cutoffs are equal-depth-only (a
+//! [`run_er_threads`] of that depth returns, because the TT's probe cutoffs are equal-depth-only (a
 //! cross-depth entry is only an ordering hint and hints never change
 //! values). The `repro deadline` experiment asserts exactly that.
 //!
@@ -37,8 +37,8 @@ use search_serial::control::CtlHook;
 use search_serial::{Hooks, OrderingTables};
 
 #[cfg(doc)]
-use super::threads::run_er_threads_exec;
-use super::threads::{run_er_threads_with, ThreadsConfig};
+use super::threads::run_er_threads;
+use super::threads::run_er_threads_with;
 use super::ErParallelConfig;
 use crate::control::{AbortReason, SearchControl};
 
@@ -428,7 +428,6 @@ pub fn run_er_threads_id<P, T, C, R>(
     max_depth: u32,
     threads: usize,
     cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
     asp: AspirationConfig,
     hooks: Hooks<T, C, R>,
 ) -> ErIdResult
@@ -462,8 +461,8 @@ where
         let step = stepper.step_with(depth, ctl, hooks.tracer, |d, w, c| {
             let hooks = hooks.with_ctl(c);
             match &tables {
-                Some(t) => run_er_threads_with(pos, d, w, threads, cfg, exec, hooks.with_ord(t)),
-                None => run_er_threads_with(pos, d, w, threads, cfg, exec, hooks),
+                Some(t) => run_er_threads_with(pos, d, w, threads, cfg, hooks.with_ord(t)),
+                None => run_er_threads_with(pos, d, w, threads, cfg, hooks),
             }
             .map(|r| (r.value, r.stats))
             .map_err(|e| e.reason)

@@ -106,7 +106,4 @@ pub struct ErRunResult {
 
 pub use engine::{run_er_sim, run_er_sim_with};
 pub use id::{root_split, run_er_threads_id, AspirationConfig, DepthResult, ErIdResult, IdStepper};
-pub use threads::{
-    pin_current_thread, run_er_threads, run_er_threads_exec, run_er_threads_with, BatchPolicy,
-    PinPolicy, ThreadsConfig,
-};
+pub use threads::{run_er_threads, run_er_threads_exec, run_er_threads_with, ThreadsConfig};

@@ -19,21 +19,23 @@
 //!   pops lock-free, and an idle sibling *steals* from the other end
 //!   before ever touching the global mutex. Only tree mutation — `apply`
 //!   plus the select bookkeeping — still takes the lock.
-//! * **Adaptive batch sizing.** Under [`BatchPolicy::Adaptive`] each
-//!   worker grows its refill batch (up to [`MAX_BATCH`] =
-//!   `DEFAULT_BATCH * 2`) while lock waits are expensive relative to
-//!   execution, and shrinks it (down to 1) when the queues run dry — small
-//!   batches keep work fresh against the moving alpha-beta windows, large
-//!   ones amortize contention. [`BatchPolicy::Fixed`] pins the PR 1
-//!   behaviour for baseline comparison.
+//! * **Batch sizing from the thread count.** One worker takes a fixed
+//!   [`DEFAULT_BATCH`] jobs per acquisition: with no sibling to contend
+//!   with, timing feedback would only make the schedule (and so the node
+//!   count) vary run to run. Above one thread each worker grows its refill
+//!   batch (up to [`MAX_BATCH`] = `DEFAULT_BATCH * 2`) while lock waits
+//!   are expensive relative to execution, and shrinks it (down to 1) when
+//!   the queues run dry — small batches keep work fresh against the moving
+//!   alpha-beta windows, large ones amortize contention.
 //!
-//! Idle threads park on a condition variable only after a failed steal
-//! sweep; a thread that leaves surplus work behind wakes exactly one
-//! parked sibling (`notify_one`), and `notify_all` is reserved for
-//! termination. Every acquisition, wait/hold nanosecond, steal attempt,
-//! executed job, wake-up and park is counted per thread
-//! ([`ThreadCounters`]) and surfaced in [`ErThreadsResult`] so contention
-//! is observable, not guessed at.
+//! Stealing is on whenever there is a sibling to steal from. Idle threads
+//! park on a condition variable only after a failed steal sweep; a thread
+//! that leaves surplus work behind wakes exactly one parked sibling
+//! (`notify_one`), and `notify_all` is reserved for termination. Every
+//! acquisition, wait/hold nanosecond, steal attempt, executed job,
+//! wake-up and park is counted per thread ([`ThreadCounters`]) and
+//! surfaced in [`ErThreadsResult`] so contention is observable, not
+//! guessed at.
 //!
 //! **Abort protocol** (DESIGN.md §10). Every run carries a
 //! [`SearchControl`] token. Workers poll it once per scheduling round
@@ -55,9 +57,9 @@
 //!
 //! On a multi-core host this achieves real speedup; on any host it
 //! produces the same root value as every serial algorithm (the test suite
-//! checks this), while node counts may vary run-to-run with thread
-//! scheduling — exactly the nondeterminism the deterministic simulator
-//! exists to remove.
+//! checks this). A one-thread run is reproducible to the node; above one
+//! thread node counts may vary run-to-run with thread scheduling — exactly
+//! the nondeterminism the deterministic simulator exists to remove.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -93,139 +95,14 @@ pub const MAX_BATCH: usize = DEFAULT_BATCH * 2;
 /// happens into an empty deque, so `push` can never fail).
 const DEQUE_CAP: usize = MAX_BATCH * 2;
 
-/// How a worker sizes its refill batch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Take up to exactly this many jobs per acquisition (the PR 1
-    /// behaviour; `Fixed(1)` reproduces job-at-a-time selection).
-    Fixed(usize),
-    /// Start at [`DEFAULT_BATCH`] and resize per round within
-    /// `[1, MAX_BATCH]` from observed lock-wait vs execute time.
-    Adaptive,
-}
-
-/// How workers map onto logical CPUs when pinning is requested.
+/// The threaded back-end's execution settings, of which there are none:
+/// the batch rule and stealing follow from the thread count alone.
 ///
-/// Pinning stops the OS scheduler from migrating a worker mid-search:
-/// a migrated thread abandons its warm L1/L2 (its deque ring, its arena
-/// reads, its home TT shards — see
-/// [`tt::TranspositionTable::home_shards`]) and refaults them on the new
-/// core. The mapping is a pure function of the worker index so runs are
-/// reproducible; it says nothing about the search schedule, and the root
-/// value is bit-identical with pinning on, off, or unsupported.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PinPolicy {
-    /// Worker `i` on logical CPU `i % cores` — neighbouring workers land
-    /// on neighbouring CPUs, which on common SMT-2 enumerations packs two
-    /// workers per physical core first (good when workers share a TT).
-    Compact,
-    /// Worker `i` on logical CPU `(i * stride) mod`-ish, covering every
-    /// CPU once before reusing one — `Scatter(2)` fills even CPUs before
-    /// odd ones, i.e. one worker per physical core first on SMT-2 hosts
-    /// (good for bandwidth-bound evaluation). A stride that does not
-    /// divide the CPU count cannot tile it and falls back to [`Compact`].
-    ///
-    /// [`Compact`]: PinPolicy::Compact
-    Scatter(usize),
-}
-
-impl PinPolicy {
-    /// The logical CPU worker `worker` should run on, for a host exposing
-    /// `cores` logical CPUs. Total: every worker gets a CPU (mod wrap),
-    /// and any `cores` consecutive workers cover `cores` distinct CPUs.
-    pub fn core_for(self, worker: usize, cores: usize) -> usize {
-        let cores = cores.max(1);
-        let i = worker % cores;
-        match self {
-            PinPolicy::Compact => i,
-            PinPolicy::Scatter(stride) => {
-                let s = stride.clamp(1, cores);
-                if !cores.is_multiple_of(s) {
-                    return i; // stride can't tile this host: compact
-                }
-                // Column-major walk of an s-column grid: bijective because
-                // (i mod cols, i / cols) decomposes i uniquely.
-                let cols = cores / s;
-                (i % cols) * s + i / cols
-            }
-        }
-    }
-}
-
-/// Pins the calling thread to logical CPU `core`. Returns whether the
-/// request took effect.
-///
-/// Linux-only: issues `sched_setaffinity(2)` through the raw syscall
-/// wrapper std already links (no new dependency). Everywhere else this is
-/// a documented no-op returning `false` — the search is correct unpinned,
-/// just more exposed to migration.
-#[cfg(target_os = "linux")]
-pub fn pin_current_thread(core: usize) -> bool {
-    // A fixed 1024-bit mask matches glibc's `cpu_set_t`; cores beyond
-    // that are silently left unpinned (no such host exists in this
-    // repo's test matrix).
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16];
-    let bit = core % (64 * mask.len());
-    mask[bit / 64] = 1u64 << (bit % 64);
-    // pid 0 = the calling thread.
-    unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) == 0 }
-}
-
-/// Portable fallback: thread pinning is not plumbed on this OS.
-#[cfg(not(target_os = "linux"))]
-pub fn pin_current_thread(_core: usize) -> bool {
-    false
-}
-
-/// Logical CPUs the pinning policies map onto.
-fn logical_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Execution-layer knobs of the threaded back-end, orthogonal to the
-/// algorithmic [`ErParallelConfig`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ThreadsConfig {
-    /// Refill-batch sizing policy.
-    pub batch: BatchPolicy,
-    /// Whether idle workers steal from sibling deques before parking.
-    pub steal: bool,
-    /// Optional CPU-affinity policy for the worker threads. `None` (the
-    /// default) leaves placement to the OS scheduler; `Some` pins worker
-    /// `i` to [`PinPolicy::core_for`]`(i, cores)` where supported (Linux)
-    /// and silently runs unpinned elsewhere.
-    pub pin: Option<PinPolicy>,
-}
-
-impl ThreadsConfig {
-    /// A pinned batch size with stealing on and no pinning. `batch = 1`
-    /// reproduces job-at-a-time selection (though still with apply and
-    /// select fused into one acquisition).
-    pub fn fixed_batch(batch: usize) -> ThreadsConfig {
-        ThreadsConfig {
-            batch: BatchPolicy::Fixed(batch),
-            steal: true,
-            pin: None,
-        }
-    }
-}
-
-impl Default for ThreadsConfig {
-    /// Adaptive batching with stealing on and no pinning — the
-    /// configuration the scaling experiment ships.
-    fn default() -> ThreadsConfig {
-        ThreadsConfig {
-            batch: BatchPolicy::Adaptive,
-            steal: true,
-            pin: None,
-        }
-    }
-}
+/// The type survives only because the benchmark's adapter calls
+/// [`run_er_threads_exec`] with `ThreadsConfig::default()`; once that
+/// caller moves to [`run_er_threads_with`], both can go.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ThreadsConfig;
 
 /// Result of a threaded parallel ER run.
 #[derive(Clone, Debug)]
@@ -277,44 +154,35 @@ fn expect_complete(r: Result<ErThreadsResult, SearchAborted>) -> ErThreadsResult
     r.unwrap_or_else(|e| panic!("threaded search aborted without a deadline: {e}"))
 }
 
-/// Runs parallel ER with `threads` OS threads and the default execution
-/// layer (adaptive batching, stealing on).
+/// Runs parallel ER with `threads` OS threads.
 pub fn run_er_threads<P: GamePosition>(
     pos: &P,
     depth: u32,
     threads: usize,
     cfg: &ErParallelConfig,
 ) -> ErThreadsResult {
-    expect_complete(run_er_threads_exec(
-        pos,
-        depth,
-        threads,
-        cfg,
-        ThreadsConfig::default(),
-    ))
-}
-
-/// Runs parallel ER with full control over the execution layer.
-///
-/// Returns `Err(SearchAborted)` when the run could not complete — for this
-/// deadline-free entry point that means a worker panicked. Attach a
-/// deadline or cancellation token through [`run_er_threads_with`].
-pub fn run_er_threads_exec<P: GamePosition>(
-    pos: &P,
-    depth: u32,
-    threads: usize,
-    cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
-) -> Result<ErThreadsResult, SearchAborted> {
-    run_er_threads_with(
+    expect_complete(run_er_threads_with(
         pos,
         depth,
         Window::FULL,
         threads,
         cfg,
-        exec,
         Hooks::default(),
-    )
+    ))
+}
+
+/// [`run_er_threads`] returning `Err(SearchAborted)` instead of panicking
+/// when a worker panicked. The [`ThreadsConfig`] argument is ignored; see
+/// its doc comment. Attach a deadline or cancellation token through
+/// [`run_er_threads_with`].
+pub fn run_er_threads_exec<P: GamePosition>(
+    pos: &P,
+    depth: u32,
+    threads: usize,
+    cfg: &ErParallelConfig,
+    _exec: ThreadsConfig,
+) -> Result<ErThreadsResult, SearchAborted> {
+    run_er_threads_with(pos, depth, Window::FULL, threads, cfg, Hooks::default())
 }
 
 /// State one worker thread keeps across rounds.
@@ -418,7 +286,6 @@ pub fn run_er_threads_with<P, T, C, R, O, M>(
     window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
-    exec: ThreadsConfig,
     hooks: Hooks<T, C, R, O, M>,
 ) -> Result<ErThreadsResult, SearchAborted>
 where
@@ -434,13 +301,9 @@ where
     let (tt, tr, ord, mx) = (hooks.tt, hooks.tracer, hooks.ord, hooks.metrics);
     let tt_before = tt.stats();
     assert!(threads > 0);
-    let (fixed_batch, adaptive) = match exec.batch {
-        BatchPolicy::Fixed(b) => (b.clamp(1, DEQUE_CAP), false),
-        BatchPolicy::Adaptive => (DEFAULT_BATCH, true),
-    };
-    let steal_on = exec.steal && threads > 1;
-    // Resolved once so every worker maps against the same CPU count.
-    let pin_cores = exec.pin.map(|policy| (policy, logical_cpus()));
+    // Siblings to steal from and to contend with: only then does the batch
+    // adapt, so a one-thread run is reproducible to the node.
+    let contended = threads > 1;
 
     let shared = Mutex::new(Shared {
         worker: ErWorker::new_windowed(pos.clone(), depth, window, *cfg),
@@ -479,11 +342,6 @@ where
             .enumerate()
             .map(|(me, mut own)| {
                 scope.spawn(move || {
-                    if let Some((policy, cores)) = pin_cores {
-                        // Best-effort: an unpinnable host (cgroup mask,
-                        // non-Linux OS) just runs scheduler-placed.
-                        pin_current_thread(policy.core_for(me, cores));
-                    }
                     let _sentinel = PanicSentinel {
                         ctl,
                         shared,
@@ -503,8 +361,8 @@ where
                         counters: ThreadCounters::default(),
                         ready: Vec::with_capacity(MAX_BATCH),
                         refill: Vec::with_capacity(DEQUE_CAP),
-                        batch_target: fixed_batch,
-                        steal_pass: steal_on,
+                        batch_target: DEFAULT_BATCH,
+                        steal_pass: contended,
                         scarce_streak: 0,
                     };
                     let aborting = 'rounds: loop {
@@ -587,7 +445,7 @@ where
                                 0,
                             );
                             wtr.instant(EventKind::Unpark, 0);
-                            cx.steal_pass = steal_on;
+                            cx.steal_pass = contended;
                         }
                         if g.done {
                             // Termination is the one broadcast: every
@@ -644,7 +502,7 @@ where
 
                         // ---- Steal phase: drain siblings lock-free until
                         // the outcome buffer justifies an acquisition.
-                        if steal_on && !done_flag.load(SeqCst) {
+                        if contended && !done_flag.load(SeqCst) {
                             while cx.ready.len() < MAX_BATCH {
                                 let mut stolen = None;
                                 for off in 1..threads {
@@ -671,7 +529,7 @@ where
                         let execd = executing.elapsed().as_nanos() as u64;
 
                         // ---- Adapt the batch target for the next round.
-                        if adaptive && executed_this_round > 0 {
+                        if contended && executed_this_round > 0 {
                             if waited * 4 >= execd && cx.batch_target < MAX_BATCH {
                                 // Lock waits cost >= 25% of execution:
                                 // amortize harder.
@@ -697,7 +555,7 @@ where
                             }
                         }
                         if executed_this_round > 0 {
-                            cx.steal_pass = steal_on;
+                            cx.steal_pass = contended;
                         }
                     };
                     if aborting {
@@ -858,46 +716,13 @@ mod tests {
     }
 
     #[test]
-    fn matches_negmax_across_batch_sizes() {
-        let root = RandomTreeSpec::new(8, 4, 7).root();
-        let exact = negmax(&root, 7).value;
-        for batch in [1usize, 2, 4, 16, 64] {
+    fn matches_negmax_at_one_and_four_threads() {
+        for seed in [8, 14] {
+            let root = RandomTreeSpec::new(seed, 4, 7).root();
+            let exact = negmax(&root, 7).value;
             for threads in [1usize, 4] {
-                let r = run_er_threads_exec(
-                    &root,
-                    7,
-                    threads,
-                    &ErParallelConfig::random_tree(3),
-                    ThreadsConfig::fixed_batch(batch),
-                )
-                .expect("unlimited run cannot abort");
-                assert_eq!(r.value, exact, "batch {batch} threads {threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn matches_negmax_across_exec_configs() {
-        let root = RandomTreeSpec::new(14, 4, 7).root();
-        let exact = negmax(&root, 7).value;
-        for batch in [BatchPolicy::Adaptive, BatchPolicy::Fixed(8)] {
-            for steal in [false, true] {
-                for threads in [1usize, 4] {
-                    let exec = ThreadsConfig {
-                        batch,
-                        steal,
-                        pin: None,
-                    };
-                    let r = run_er_threads_exec(
-                        &root,
-                        7,
-                        threads,
-                        &ErParallelConfig::random_tree(3),
-                        exec,
-                    )
-                    .expect("unlimited-control run cannot abort");
-                    assert_eq!(r.value, exact, "exec {exec:?} threads {threads}");
-                }
+                let r = run_er_threads(&root, 7, threads, &ErParallelConfig::random_tree(3));
+                assert_eq!(r.value, exact, "seed {seed} threads {threads}");
             }
         }
     }
@@ -927,14 +752,7 @@ mod tests {
     #[test]
     fn counters_are_populated_and_consistent() {
         let root = RandomTreeSpec::new(5, 4, 7).root();
-        let r = run_er_threads_exec(
-            &root,
-            7,
-            4,
-            &ErParallelConfig::random_tree(3),
-            ThreadsConfig::fixed_batch(8),
-        )
-        .expect("unlimited run cannot abort");
+        let r = run_er_threads(&root, 7, 4, &ErParallelConfig::random_tree(3));
         assert_eq!(r.per_thread.len(), 4);
         let total = r.counters();
         assert!(total.lock_acquisitions > 0);
@@ -976,92 +794,14 @@ mod tests {
     }
 
     #[test]
-    fn larger_batches_need_fewer_acquisitions() {
-        let root = RandomTreeSpec::new(12, 4, 8).root();
-        let cfg = ErParallelConfig::random_tree(4);
-        let b1 = run_er_threads_exec(&root, 8, 1, &cfg, ThreadsConfig::fixed_batch(1))
-            .expect("unlimited run cannot abort");
-        let b16 = run_er_threads_exec(&root, 8, 1, &cfg, ThreadsConfig::fixed_batch(16))
-            .expect("unlimited run cannot abort");
-        assert_eq!(b1.value, b16.value);
-        let (a1, a16) = (b1.counters(), b16.counters());
-        assert!(
-            a16.lock_acquisitions * 2 <= a1.lock_acquisitions,
-            "batch=16 should need at most half the acquisitions of batch=1 \
-             ({} vs {})",
-            a16.lock_acquisitions,
-            a1.lock_acquisitions
-        );
-    }
-
-    #[test]
     fn adaptive_batching_adjusts_and_stays_correct() {
         let root = RandomTreeSpec::new(18, 4, 8).root();
         let exact = negmax(&root, 8).value;
-        let exec = ThreadsConfig {
-            batch: BatchPolicy::Adaptive,
-            steal: true,
-            pin: None,
-        };
-        let r = run_er_threads_exec(&root, 8, 4, &ErParallelConfig::random_tree(3), exec)
-            .expect("unlimited-control run cannot abort");
+        let r = run_er_threads(&root, 8, 4, &ErParallelConfig::random_tree(3));
         assert_eq!(r.value, exact);
         let c = r.counters();
         // The adaptive controller ran (its counters merged), whichever
         // direction this host's timings pushed it.
         assert_eq!(c.jobs_executed, c.outcomes_applied);
-    }
-
-    #[test]
-    fn pin_policies_cover_every_cpu_before_reuse() {
-        for cores in [1usize, 2, 3, 4, 6, 8, 12, 16, 64] {
-            for policy in [
-                PinPolicy::Compact,
-                PinPolicy::Scatter(1),
-                PinPolicy::Scatter(2),
-                PinPolicy::Scatter(4),
-            ] {
-                let lap: std::collections::HashSet<usize> =
-                    (0..cores).map(|w| policy.core_for(w, cores)).collect();
-                assert_eq!(
-                    lap.len(),
-                    cores,
-                    "{policy:?} on {cores} CPUs must be a permutation"
-                );
-                for w in 0..cores {
-                    assert_eq!(
-                        policy.core_for(w + cores, cores),
-                        policy.core_for(w, cores),
-                        "{policy:?} must wrap with period {cores}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_fills_even_cpus_first_on_smt2_enumeration() {
-        let p = PinPolicy::Scatter(2);
-        let first_lap: Vec<usize> = (0..8).map(|w| p.core_for(w, 8)).collect();
-        assert_eq!(first_lap, [0, 2, 4, 6, 1, 3, 5, 7]);
-        assert_eq!(PinPolicy::Compact.core_for(5, 8), 5);
-        // Degenerate hosts never panic or index out of range.
-        assert_eq!(PinPolicy::Scatter(7).core_for(3, 1), 0);
-        assert_eq!(PinPolicy::Compact.core_for(9, 0), 0);
-    }
-
-    #[test]
-    fn pinned_run_matches_negmax() {
-        let root = RandomTreeSpec::new(21, 4, 7).root();
-        let exact = negmax(&root, 7).value;
-        for pin in [None, Some(PinPolicy::Compact), Some(PinPolicy::Scatter(2))] {
-            let exec = ThreadsConfig {
-                pin,
-                ..ThreadsConfig::default()
-            };
-            let r = run_er_threads_exec(&root, 7, 4, &ErParallelConfig::random_tree(3), exec)
-                .expect("unlimited-control run cannot abort");
-            assert_eq!(r.value, exact, "pin {pin:?}");
-        }
     }
 }

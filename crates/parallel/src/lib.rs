@@ -24,9 +24,8 @@ pub mod tree;
 pub use control::{AbortReason, SearchAborted, SearchControl};
 pub use er::threads::{ErThreadsResult, DEFAULT_BATCH, MAX_BATCH};
 pub use er::{
-    pin_current_thread, root_split, run_er_sim, run_er_sim_with, run_er_threads,
-    run_er_threads_exec, run_er_threads_id, run_er_threads_with, AspirationConfig, BatchPolicy,
-    DepthResult, ErIdResult, ErParallelConfig, ErRunResult, IdStepper, PinPolicy, Speculation,
-    ThreadsConfig,
+    root_split, run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec,
+    run_er_threads_id, run_er_threads_with, AspirationConfig, DepthResult, ErIdResult,
+    ErParallelConfig, ErRunResult, IdStepper, Speculation, ThreadsConfig,
 };
 pub use search_serial::Hooks;

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use er_parallel::{
-    run_er_threads_exec, run_er_threads_id, run_er_threads_with, AbortReason, AspirationConfig,
-    ErParallelConfig, Hooks, SearchControl, ThreadsConfig,
+    run_er_threads, run_er_threads_id, run_er_threads_with, AbortReason, AspirationConfig,
+    ErParallelConfig, Hooks, SearchControl,
 };
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value, Window};
@@ -94,7 +94,7 @@ fn big_tree() -> RandomTreeSpec {
 fn assert_clean_abort(threads: usize, site: PanicSite, serial_depth: u32) {
     let root = PanicPos::new(big_tree().root(), site, 40);
     let cfg = ErParallelConfig::random_tree(serial_depth);
-    let err = run_er_threads_exec(&root, 9, threads, &cfg, ThreadsConfig::default())
+    let err = run_er_threads_with(&root, 9, Window::FULL, threads, &cfg, Hooks::default())
         .expect_err("fused panic must abort the search");
     assert_eq!(err.reason, AbortReason::WorkerPanicked);
     assert_eq!(
@@ -148,11 +148,10 @@ fn repeated_panics_never_poison_subsequent_runs() {
     let cfg = ErParallelConfig::random_tree(3);
     for i in 0..10 {
         let root = PanicPos::new(big_tree().root(), PanicSite::Evaluate, 20 + i);
-        run_er_threads_exec(&root, 9, 4, &cfg, ThreadsConfig::default())
+        run_er_threads_with(&root, 9, Window::FULL, 4, &cfg, Hooks::default())
             .expect_err("fused run must abort");
     }
-    let clean = run_er_threads_exec(&big_tree().root(), 9, 4, &cfg, ThreadsConfig::default())
-        .expect("clean run after aborted runs");
+    let clean = run_er_threads(&big_tree().root(), 9, 4, &cfg);
     let exact = search_serial::negmax(&big_tree().root(), 9).value;
     assert_eq!(clean.value, exact);
 }
@@ -169,7 +168,6 @@ fn expired_deadline_aborts_promptly() {
         Window::FULL,
         4,
         &cfg,
-        ThreadsConfig::default(),
         Hooks::default().with_ctl(&ctl),
     )
     .expect_err("expired deadline must abort");
@@ -197,7 +195,6 @@ fn midflight_deadline_aborts_with_partial_counters() {
         Window::FULL,
         4,
         &cfg,
-        ThreadsConfig::default(),
         Hooks::default().with_ctl(&ctl),
     ) {
         Err(err) => {
@@ -225,7 +222,6 @@ fn cancellation_aborts_before_any_work() {
         Window::FULL,
         4,
         &cfg,
-        ThreadsConfig::default(),
         Hooks::default().with_ctl(&ctl),
     )
     .expect_err("pre-cancelled control must abort");
@@ -244,17 +240,8 @@ fn id_at_full_budget_matches_fixed_depth_runs() {
     // search returns, with per-depth telemetry for every iteration.
     let root = RandomTreeSpec::new(1, 4, 7).root();
     let cfg = ErParallelConfig::random_tree(3);
-    let fixed = run_er_threads_exec(&root, 7, 4, &cfg, ThreadsConfig::default())
-        .expect("unlimited run cannot abort");
-    let id = run_er_threads_id(
-        &root,
-        7,
-        4,
-        &cfg,
-        ThreadsConfig::default(),
-        AspirationConfig::OFF,
-        Hooks::default(),
-    );
+    let fixed = run_er_threads(&root, 7, 4, &cfg);
+    let id = run_er_threads_id(&root, 7, 4, &cfg, AspirationConfig::OFF, Hooks::default());
     assert_eq!(id.value, fixed.value, "anytime value is bit-identical");
     assert_eq!(id.depth_completed, 7);
     assert!(id.stopped.is_none());
@@ -276,7 +263,6 @@ fn id_tt_bumps_generation_per_depth_and_matches_fixed_depth() {
         7,
         4,
         &cfg,
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default().with_tt(&table),
     );
@@ -286,8 +272,7 @@ fn id_tt_bumps_generation_per_depth_and_matches_fixed_depth() {
         "one generation bump per completed depth"
     );
     assert_eq!(id.depth_completed, 7);
-    let fixed = run_er_threads_exec(&root, 7, 4, &cfg, ThreadsConfig::default())
-        .expect("unlimited run cannot abort");
+    let fixed = run_er_threads(&root, 7, 4, &cfg);
     assert_eq!(
         id.value, fixed.value,
         "equal-depth-only probe cutoffs keep the TT'd anytime value exact"
@@ -304,7 +289,6 @@ fn id_under_tiny_budget_still_returns_a_usable_value() {
         12,
         4,
         &cfg,
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default().with_ctl(&ctl),
     );
@@ -316,9 +300,7 @@ fn id_under_tiny_budget_still_returns_a_usable_value() {
         assert_eq!(id.value, root.evaluate(), "static fallback");
     } else {
         // The reported value is the last *completed* depth's exact value.
-        let check =
-            run_er_threads_exec(&root, id.depth_completed, 4, &cfg, ThreadsConfig::default())
-                .expect("unlimited re-run cannot abort");
+        let check = run_er_threads(&root, id.depth_completed, 4, &cfg);
         assert_eq!(id.value, check.value);
     }
 }
@@ -333,7 +315,6 @@ fn id_with_cancelled_control_stops_immediately() {
         8,
         4,
         &ErParallelConfig::random_tree(3),
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default().with_ctl(&ctl),
     );

@@ -6,7 +6,7 @@
 use checkers::CheckersPos;
 use er_parallel::{
     root_split, run_er_threads_with, AbortReason, AspirationConfig, ErIdResult, ErParallelConfig,
-    Hooks, IdStepper, SearchControl, ThreadsConfig,
+    Hooks, IdStepper, SearchControl,
 };
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::ordered::OrderedTreeSpec;
@@ -207,11 +207,10 @@ fn check_root_split<P: GamePosition + tt::Zobrist>(
     let ctl = SearchControl::unlimited();
     let child = |i: usize, d: u32, w: Window, c: &SearchControl| {
         let hooks = Hooks::default().with_tt(&table).with_ctl(c);
-        let exec = ThreadsConfig::default();
         let r = if asp.ordering {
-            run_er_threads_with(&kids[i], d, w, threads, cfg, exec, hooks.with_ord(&tables))
+            run_er_threads_with(&kids[i], d, w, threads, cfg, hooks.with_ord(&tables))
         } else {
-            run_er_threads_with(&kids[i], d, w, threads, cfg, exec, hooks)
+            run_er_threads_with(&kids[i], d, w, threads, cfg, hooks)
         };
         r.map(|r| (r.value, r.stats)).map_err(|e| e.reason)
     };

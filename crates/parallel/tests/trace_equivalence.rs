@@ -4,16 +4,16 @@
 //!
 //! Root *values* are compared at every thread count — they are
 //! scheduling-independent. Examined-node *counts* are compared only where
-//! the back-end itself is deterministic: one worker, fixed batch, no
-//! stealing (multi-thread node counts vary run to run with OS scheduling,
-//! traced or not, and adaptive batching sizes batches from observed
-//! timings). The workspace hook matrix (`tests/hook_matrix.rs`) repeats
+//! the back-end itself is deterministic: one worker, which takes a fixed
+//! batch and has no sibling to steal from (multi-thread node counts vary
+//! run to run with OS scheduling, traced or not, and adaptive batching
+//! sizes batches from observed timings). The workspace hook matrix (`tests/hook_matrix.rs`) repeats
 //! these checks for every hooked entry; the bounded-ring overwrite tests
 //! live in `trace::ring`.
 
 use er_parallel::{
-    run_er_threads_exec, run_er_threads_id, run_er_threads_with, AspirationConfig, BatchPolicy,
-    ErParallelConfig, Hooks, Speculation, ThreadsConfig,
+    run_er_threads, run_er_threads_id, run_er_threads_with, AspirationConfig, ErParallelConfig,
+    Hooks, Speculation,
 };
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
@@ -35,10 +35,8 @@ proptest! {
         let root = RandomTreeSpec::new(seed, 3, 5).root();
         let cfg = ErParallelConfig::random_tree(2);
         let tracer = Tracer::new();
-        let traced = run_er_threads_with(&root, 5, Window::FULL, threads, &cfg, ThreadsConfig::default(), Hooks::default().with_tracer(&tracer)).expect("unlimited traced run cannot abort");
-        let plain = run_er_threads_exec(
-            &root, 5, threads, &cfg, ThreadsConfig::default(),
-        ).expect("unlimited untraced run cannot abort");
+        let traced = run_er_threads_with(&root, 5, Window::FULL, threads, &cfg, Hooks::default().with_tracer(&tracer)).expect("unlimited traced run cannot abort");
+        let plain = run_er_threads(&root, 5, threads, &cfg);
         prop_assert_eq!(traced.value, plain.value);
         prop_assert_eq!(traced.value, negmax(&root, 5).value);
         let data = tracer.snapshot();
@@ -49,14 +47,10 @@ proptest! {
 
 #[test]
 fn single_thread_fixed_batch_stats_are_bit_identical() {
-    // One worker, fixed batch, no stealing: the back-end itself is
-    // deterministic, so the equivalence sharpens from root values to the
-    // full stats — examined nodes, evaluator calls, everything.
-    let exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(8),
-        steal: false,
-        pin: None,
-    };
+    // One worker takes a fixed batch and has no sibling to steal from:
+    // the back-end itself is deterministic, so the equivalence sharpens
+    // from root values to the full stats — examined nodes, evaluator
+    // calls, everything.
     for seed in [0u64, 7, 23] {
         let root = RandomTreeSpec::new(seed, 4, 7).root();
         let cfg = ErParallelConfig::random_tree(3);
@@ -67,12 +61,10 @@ fn single_thread_fixed_batch_stats_are_bit_identical() {
             Window::FULL,
             1,
             &cfg,
-            exec,
             Hooks::default().with_tracer(&tracer),
         )
         .expect("unlimited traced run cannot abort");
-        let plain =
-            run_er_threads_exec(&root, 7, 1, &cfg, exec).expect("unlimited run cannot abort");
+        let plain = run_er_threads(&root, 7, 1, &cfg);
         assert_eq!(traced.value, plain.value, "seed {seed}");
         assert_eq!(traced.stats, plain.stats, "seed {seed}: node counts");
         assert_eq!(
@@ -105,7 +97,6 @@ fn traced_tt_matches_untraced_on_othello() {
             Window::FULL,
             threads,
             &cfg,
-            ThreadsConfig::default(),
             Hooks::default().with_tt(&traced_table).with_tracer(&tracer),
         )
         .expect("unlimited traced run cannot abort");
@@ -115,7 +106,6 @@ fn traced_tt_matches_untraced_on_othello() {
             Window::FULL,
             threads,
             &cfg,
-            ThreadsConfig::default(),
             Hooks::default().with_tt(&plain_table),
         )
         .expect("unlimited untraced run cannot abort");
@@ -154,7 +144,6 @@ fn traced_values_match_untraced_on_checkers() {
             Window::FULL,
             threads,
             &cfg,
-            ThreadsConfig::default(),
             Hooks::default().with_tracer(&tracer),
         )
         .expect("unlimited traced run cannot abort");
@@ -172,19 +161,10 @@ fn traced_deepening_matches_untraced_and_marks_depths() {
         6,
         4,
         &cfg,
-        ThreadsConfig::default(),
         AspirationConfig::OFF,
         Hooks::default().with_tracer(&tracer),
     );
-    let plain = run_er_threads_id(
-        &root,
-        6,
-        4,
-        &cfg,
-        ThreadsConfig::default(),
-        AspirationConfig::OFF,
-        Hooks::default(),
-    );
+    let plain = run_er_threads_id(&root, 6, 4, &cfg, AspirationConfig::OFF, Hooks::default());
     assert_eq!(traced.value, plain.value);
     assert_eq!(traced.depth_completed, plain.depth_completed);
     assert!(traced.stopped.is_none());

@@ -4,10 +4,7 @@
 
 use er_parallel::baselines::tree_split::ProcShape;
 use er_parallel::baselines::{run_mwf, run_mwf_tt, run_pv_split, run_pv_split_tt};
-use er_parallel::{
-    run_er_threads, run_er_threads_with, ErParallelConfig, ErThreadsResult, Hooks, ThreadsConfig,
-    DEFAULT_BATCH,
-};
+use er_parallel::{run_er_threads, run_er_threads_with, ErParallelConfig, ErThreadsResult, Hooks};
 use gametree::random::RandomTreeSpec;
 use gametree::tictactoe::TicTacToe;
 use gametree::{GamePosition, Window};
@@ -16,7 +13,7 @@ use problem_heap::CostModel;
 use search_serial::{negmax, OrderPolicy};
 use tt::{TranspositionTable, Zobrist};
 
-/// A full-window threaded run at the default fixed batch sharing `table`.
+/// A full-window threaded run sharing `table`.
 fn tt_run<P: GamePosition + Zobrist>(
     pos: &P,
     depth: u32,
@@ -24,9 +21,8 @@ fn tt_run<P: GamePosition + Zobrist>(
     cfg: &ErParallelConfig,
     table: &TranspositionTable,
 ) -> ErThreadsResult {
-    let exec = ThreadsConfig::fixed_batch(DEFAULT_BATCH);
     let hooks = Hooks::default().with_tt(table);
-    run_er_threads_with(pos, depth, Window::FULL, threads, cfg, exec, hooks).expect("cannot abort")
+    run_er_threads_with(pos, depth, Window::FULL, threads, cfg, hooks).expect("cannot abort")
 }
 
 #[test]
@@ -228,8 +224,7 @@ fn every_table_backed_threaded_run_reports_its_table_delta() {
         .with_metrics(&metrics);
     for pass in 0..2 {
         let before = table.stats();
-        let r = run_er_threads_with(&root, 5, window, 2, &cfg, ThreadsConfig::default(), hooks)
-            .expect("cannot abort");
+        let r = run_er_threads_with(&root, 5, window, 2, &cfg, hooks).expect("cannot abort");
         let report = r.tt.expect("a table-backed run reports its table");
         assert_eq!(report, table.stats().since(&before), "pass {pass}");
         assert!(report.probes > 0, "pass {pass}");

@@ -305,34 +305,6 @@ impl TranspositionTable {
         filled as f64 / (sample * WAYS) as f64
     }
 
-    /// The shard `hash` maps to — the memory-placement side of the
-    /// topology story: on a NUMA machine, first-touching a shard from the
-    /// worker whose home range contains it keeps that allocation local.
-    #[inline]
-    pub fn shard_of(&self, hash: u64) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (hash >> (64 - self.shard_bits)) as usize
-        }
-    }
-
-    /// The contiguous range of shards "home" to `worker` of `workers` —
-    /// an affinity *hint* for pinned workers (pair with
-    /// `er_parallel::PinPolicy`): probing outside the range stays correct,
-    /// it just crosses nodes. Workers split the shards as evenly as
-    /// possible, earlier workers taking the remainder.
-    pub fn home_shards(&self, worker: usize, workers: usize) -> std::ops::Range<usize> {
-        let workers = workers.max(1);
-        let worker = worker.min(workers - 1);
-        let n = self.shards.len();
-        let base = n / workers;
-        let extra = n % workers;
-        let start = worker * base + worker.min(extra);
-        let len = base + usize::from(worker < extra);
-        start..(start + len).min(n)
-    }
-
     /// Advances the table to a new generation so existing entries age.
     /// Aged entries remain probe-able (iterative deepening and later
     /// sessions reuse them) but lose replacement priority, freeing the
@@ -944,26 +916,5 @@ mod sizes {
         assert_eq!(s.probes, 64);
         assert_eq!(s.hits, 64);
         assert_eq!(s.stores, 64);
-    }
-
-    #[test]
-    fn home_shards_partition_the_table() {
-        let tt = TranspositionTable::with_bits(12); // 64 shards
-        for workers in [1usize, 2, 3, 5, 8, 64, 100] {
-            let mut covered = 0usize;
-            let mut prev_end = 0usize;
-            for w in 0..workers {
-                let r = tt.home_shards(w, workers);
-                assert_eq!(r.start, prev_end, "ranges must tile in order");
-                prev_end = r.end;
-                covered += r.len();
-            }
-            assert_eq!(prev_end, tt.shard_count(), "workers {workers}");
-            assert_eq!(covered, tt.shard_count());
-        }
-        // Every shard a hash maps to falls inside exactly one home range.
-        for h in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d] {
-            assert!(tt.shard_of(h) < tt.shard_count());
-        }
     }
 }

@@ -56,28 +56,24 @@
 //! assert_eq!(par.value, ab.value);
 //! assert!(par.report.makespan > 0);
 //!
-//! // Parallel ER on 4 real OS threads, batching up to 16 jobs per lock
-//! // acquisition; the result carries per-thread contention counters.
+//! // Parallel ER on 4 real OS threads; the result carries per-thread
+//! // contention counters. The execution layer has no settings
+//! // (DESIGN.md §9): several threads steal from each other and adapt
+//! // their batch to lock contention, while one thread takes a fixed
+//! // batch and so repeats its schedule to the node.
 //! let cfg = ErParallelConfig::random_tree(4);
-//! let thr = run_er_threads_exec(&root, 8, 4, &cfg, ThreadsConfig::fixed_batch(16))
-//!     .expect("no deadline, no panic: cannot abort");
+//! let thr = run_er_threads(&root, 8, 4, &cfg);
 //! assert_eq!(thr.value, ab.value);
 //! assert_eq!(thr.counters().jobs_executed, thr.counters().outcomes_applied);
-//!
-//! // Execution-layer knobs (DESIGN.md §9): adaptive batching and
-//! // work stealing are the default, CPU pinning is opt-in (DESIGN.md
-//! // §14 — `pin: Some(PinPolicy::Compact)` to stop worker migration).
-//! let exec = ThreadsConfig { batch: BatchPolicy::Adaptive, steal: true, pin: None };
-//! assert_eq!(exec, ThreadsConfig::default());
-//! let ws = run_er_threads_exec(&root, 8, 4, &cfg, exec).expect("cannot abort");
-//! assert_eq!(ws.value, ab.value);
-//! assert_eq!(ws.counters().pos_clones_in_lock, 0);
+//! assert_eq!(thr.counters().pos_clones_in_lock, 0);
+//! let (a, b) = (run_er_threads(&root, 8, 1, &cfg), run_er_threads(&root, 8, 1, &cfg));
+//! assert_eq!(a.stats, b.stats);
 //!
 //! // Every optional handle rides in one `Hooks` bundle (DESIGN.md §16):
 //! // here one transposition table shared by all workers.
 //! let table = TranspositionTable::with_bits(16);
 //! let hooks = Hooks::default().with_tt(&table);
-//! let ttr = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//! let ttr = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, hooks)
 //!     .expect("cannot abort");
 //! assert_eq!(ttr.value, ab.value);
 //! assert!(ttr.tt.expect("table stats").probes > 0);
@@ -88,11 +84,11 @@
 //! // the deepest fully-completed value.
 //! let ctl = SearchControl::unlimited();
 //! let hooks = Hooks::default().with_ctl(&ctl);
-//! let ok = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//! let ok = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, hooks)
 //!     .expect("unlimited control cannot trip");
 //! assert_eq!(ok.value, ab.value);
 //!
-//! let id = run_er_threads_id(&root, 8, 4, &cfg, exec, AspirationConfig::OFF, hooks);
+//! let id = run_er_threads_id(&root, 8, 4, &cfg, AspirationConfig::OFF, hooks);
 //! assert_eq!(id.depth_completed, 8);
 //! assert_eq!(id.value, ab.value); // bit-identical to the fixed-depth run
 //! assert!(id.stopped.is_none());
@@ -106,7 +102,7 @@
 //!     stepper
 //!         .step_root(stepper.next_depth(), &ctl, kids.len(), |i, d, w, c| {
 //!             let hooks = Hooks::default().with_ctl(c);
-//!             run_er_threads_with(&kids[i], d, w, 4, &cfg, exec, hooks)
+//!             run_er_threads_with(&kids[i], d, w, 4, &cfg, hooks)
 //!                 .map(|r| (r.value, r.stats))
 //!                 .map_err(|e| e.reason)
 //!         })
@@ -119,7 +115,7 @@
 //! let cancelled = SearchControl::unlimited();
 //! cancelled.cancel();
 //! let hooks = Hooks::default().with_ctl(&cancelled);
-//! let err = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//! let err = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, hooks)
 //!     .expect_err("pre-cancelled control must abort");
 //! assert_eq!(err.reason, AbortReason::Cancelled);
 //! assert_eq!(err.counters.len(), 4, "every thread joined");
@@ -130,7 +126,7 @@
 //! // and exports as a Chrome-trace timeline.
 //! let tracer = Tracer::new();
 //! let hooks = Hooks::default().with_tracer(&tracer);
-//! let traced = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, exec, hooks)
+//! let traced = run_er_threads_with(&root, 8, Window::FULL, 4, &cfg, hooks)
 //!     .expect("cannot abort");
 //! assert_eq!(traced.value, ab.value);
 //! let data = tracer.snapshot();
@@ -174,10 +170,9 @@ pub mod prelude {
     };
     pub use engine_server::{GameClock, TimeControl, TimeManager};
     pub use er_parallel::{
-        run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec, run_er_threads_id,
-        run_er_threads_with, AbortReason, AspirationConfig, BatchPolicy, ErIdResult,
-        ErParallelConfig, ErRunResult, ErThreadsResult, IdStepper, PinPolicy, SearchAborted,
-        SearchControl, Speculation, ThreadsConfig, DEFAULT_BATCH, MAX_BATCH,
+        run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_id, run_er_threads_with,
+        AbortReason, AspirationConfig, ErIdResult, ErParallelConfig, ErRunResult, ErThreadsResult,
+        IdStepper, SearchAborted, SearchControl, Speculation, DEFAULT_BATCH, MAX_BATCH,
     };
     pub use gametree::ordered::OrderedTreeSpec;
     pub use gametree::random::RandomTreeSpec;

@@ -3,8 +3,8 @@
 //!
 //! * Values must equal negamax in every row.
 //! * On the deterministic back-ends — serial, the simulator, and threads
-//!   at one thread with a fixed batch and no stealing (speculation off and
-//!   on, and the deepening driver) — the work counters with the control, tracer or metrics hook on must
+//!   at one thread (speculation off and on, and the deepening driver) —
+//!   the work counters with the control, tracer or metrics hook on must
 //!   equal the hooks-off run exactly: those hooks observe, they never
 //!   steer. The table and ordering hooks may change node counts (that is
 //!   their point), never values.
@@ -285,32 +285,21 @@ fn run_matrix<P: GamePosition + Zobrist + Sync>(root: &P, depth: u32, order: Ord
         All: Hooks::default().with_tt(&st.table).with_ord(&st.ord),
     );
 
-    // One thread, a fixed batch and no stealing: the threaded back-end's
-    // deterministic configuration, with speculation off and on. Two
-    // threads with the default execution layer check everything but
-    // exact work.
+    // One thread takes a fixed batch and has no sibling to steal from: the
+    // threaded back-end is deterministic there, with speculation off and
+    // on. Two threads check everything but exact work.
     let det_cfg = ErParallelConfig {
         spec: Speculation::NONE,
         ..cfg
     };
-    let det_exec = ThreadsConfig {
-        batch: BatchPolicy::Fixed(8),
-        steal: false,
-        pin: None,
-    };
-    let runs = [
-        (1, det_cfg, det_exec),
-        (1, cfg, det_exec),
-        (2, cfg, ThreadsConfig::default()),
-    ];
-    for (workers, c, exec) in runs {
+    for (workers, c) in [(1, det_cfg), (1, cfg), (2, cfg)] {
         let kind = Kind::Threads {
             workers,
             exact: workers == 1,
         };
         let entry = format!("run_er_threads[{workers}, {:?}]", c.spec);
         matrix!(entry, oracle, kind, st, |h| {
-            run_er_threads_with(root, depth, w, workers, &c, exec, h).expect("cannot abort")
+            run_er_threads_with(root, depth, w, workers, &c, h).expect("cannot abort")
         };
             Off: Hooks::default(),
             Tt: Hooks::default().with_tt(&st.table),
@@ -332,7 +321,7 @@ fn run_matrix<P: GamePosition + Zobrist + Sync>(root: &P, depth: u32, order: Ord
     let kind = Kind::Deepening { depth };
     for asp in [AspirationConfig::OFF, AspirationConfig::narrow(4)] {
         matrix!(format!("run_er_threads_id[{asp:?}]"), oracle, kind, st, |h| {
-            run_er_threads_id(root, depth, 1, &det_cfg, det_exec, asp, h)
+            run_er_threads_id(root, depth, 1, &det_cfg, asp, h)
         };
             Off: Hooks::default(),
             Tt: Hooks::default().with_tt(&st.table),

@@ -27,7 +27,6 @@ fn threaded_ord_value<P: GamePosition>(
         Window::FULL,
         threads,
         cfg,
-        ThreadsConfig::default(),
         Hooks::default().with_ord(&tables),
     )
     .expect("unlimited control cannot trip")
@@ -115,8 +114,7 @@ proptest! {
             let reference = negmax(&pos, 3).value;
             for threads in [1usize, 4] {
                 let hooks = Hooks::default().with_ord(&tables);
-                let exec = ThreadsConfig::default();
-                let got = run_er_threads_with(&pos, 3, Window::FULL, threads, &cfg, exec, hooks)
+                let got = run_er_threads_with(&pos, 3, Window::FULL, threads, &cfg, hooks)
                     .expect("unlimited control cannot trip").value;
                 prop_assert_eq!(got, reference,
                     "othello move {} at {} threads", mv, threads);
@@ -132,8 +130,7 @@ proptest! {
             let reference = negmax(&pos, 4).value;
             for threads in [1usize, 4] {
                 let hooks = Hooks::default().with_ord(&tables);
-                let exec = ThreadsConfig::default();
-                let got = run_er_threads_with(&pos, 4, Window::FULL, threads, &cfg, exec, hooks)
+                let got = run_er_threads_with(&pos, 4, Window::FULL, threads, &cfg, hooks)
                     .expect("unlimited control cannot trip").value;
                 prop_assert_eq!(got, reference,
                     "checkers move {} at {} threads", mv, threads);
@@ -153,10 +150,9 @@ proptest! {
     ) {
         let root = RandomTreeSpec::new(seed, degree, height).root();
         let cfg = ErParallelConfig::random_tree(2);
-        let exec = ThreadsConfig::default();
         let (off, narrow) = (AspirationConfig::OFF, AspirationConfig::narrow(delta));
-        let plain = run_er_threads_id(&root, height, 2, &cfg, exec, off, Hooks::default());
-        let asp = run_er_threads_id(&root, height, 2, &cfg, exec, narrow, Hooks::default());
+        let plain = run_er_threads_id(&root, height, 2, &cfg, off, Hooks::default());
+        let asp = run_er_threads_id(&root, height, 2, &cfg, narrow, Hooks::default());
         prop_assert_eq!(asp.value, plain.value);
         prop_assert_eq!(asp.depth_completed, plain.depth_completed);
         // Every probe either lands in its window or is re-searched once.
