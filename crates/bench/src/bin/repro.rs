@@ -567,7 +567,7 @@ impl er_bench::json::ToJson for OrderingReport {
 }
 
 fn threads() {
-    use er_bench::experiments::threads_rows;
+    use er_bench::experiments::{one_thread_refutation_rows, threads_rows};
     er_bench::cli::Cli::from_env("threads").finish();
     println!("\n=== Threaded back-end: contention and memoization (R1, O1) ===");
     let rows = threads_rows();
@@ -625,10 +625,35 @@ fn threads() {
         o1.eval_calls,
         o1.seed_eval_calls
     );
+    // Speculation only on starvation: one thread is never starved while
+    // the search is live, so early choice and multiple e-nodes must leave
+    // its schedule exactly as parallel refutation alone leaves it.
+    for alone in one_thread_refutation_rows() {
+        let paper = rows
+            .iter()
+            .find(|r| {
+                r.tree == alone.tree
+                    && r.threads == 1
+                    && (r.depth, r.serial_depth) == (alone.depth, alone.serial_depth)
+            })
+            .expect("one-thread Table 3 row");
+        assert!(
+            paper.same_schedule(&alone),
+            "{}@1 thread: speculation changed the schedule ({} nodes, {} locks) \
+             against parallel refutation alone ({} nodes, {} locks)",
+            alone.tree,
+            paper.nodes,
+            paper.lock_acquisitions,
+            alone.nodes,
+            alone.lock_acquisitions
+        );
+    }
     println!(
         "\nR1 @ 4 threads: {:.1}x fewer lock acquisitions than the \
          seed back-end; O1 (fully parallel leaves): {} of {} evaluator calls \
-         served from memoized sorting probes.",
+         served from memoized sorting probes. R1 and O1 @ 1 thread: \
+         speculative queue never used (schedule identical to parallel \
+         refutation alone).",
         r1.acquisition_ratio, o1.cached_leaf_hits, o1.seed_eval_calls
     );
     save_json("threads", &rows);

@@ -814,6 +814,37 @@ pub struct ThreadsRow {
     pub elapsed_ms: f64,
 }
 
+impl ThreadsRow {
+    /// Whether `other` followed the same schedule: equal value, node and
+    /// evaluator counts, and the same use of the lock and the queues.
+    pub fn same_schedule(&self, other: &ThreadsRow) -> bool {
+        (
+            self.value,
+            self.nodes,
+            self.eval_calls,
+            self.cached_leaf_hits,
+            self.lock_acquisitions,
+            self.select_batches,
+            self.jobs_executed,
+        ) == (
+            other.value,
+            other.nodes,
+            other.eval_calls,
+            other.cached_leaf_hits,
+            other.lock_acquisitions,
+            other.select_batches,
+            other.jobs_executed,
+        )
+    }
+}
+
+/// Parallel refutation alone: the one mechanism that never feeds the
+/// speculative queue.
+pub const REFUTATION_ONLY: Speculation = Speculation {
+    parallel_refutation: true,
+    ..Speculation::NONE
+};
+
 fn threads_row<P: GamePosition>(
     name: &str,
     root: &P,
@@ -821,11 +852,12 @@ fn threads_row<P: GamePosition>(
     serial_depth: u32,
     order: OrderPolicy,
     threads: usize,
+    spec: Speculation,
 ) -> ThreadsRow {
     let cfg = ErParallelConfig {
         serial_depth,
         order,
-        spec: Speculation::ALL,
+        spec,
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
@@ -870,31 +902,53 @@ fn threads_row<P: GamePosition>(
 ///   calls the seed would have made twice — `eval_calls` vs
 ///   `seed_eval_calls` is the memoization win.
 ///
-/// Each at 1 and 4 threads.
+/// Each at 1 and 4 threads, with all three speculation mechanisms on.
 pub fn threads_rows() -> Vec<ThreadsRow> {
     let mut rows = Vec::new();
     let r1 = &crate::trees::random_trees()[0];
     let o1 = &crate::trees::othello_trees()[0];
     for &threads in &[1usize, 4] {
-        rows.push(threads_row(
-            r1.name,
-            &r1.root,
-            r1.depth,
-            r1.serial_depth,
-            r1.order,
-            threads,
-        ));
+        rows.push(table3_threads_row(r1, threads, Speculation::ALL));
+        rows.push(table3_threads_row(o1, threads, Speculation::ALL));
         rows.push(threads_row(
             o1.name,
             &o1.root,
-            o1.depth,
-            o1.serial_depth,
+            5,
+            0,
             o1.order,
             threads,
+            Speculation::ALL,
         ));
-        rows.push(threads_row(o1.name, &o1.root, 5, 0, o1.order, threads));
     }
     rows
+}
+
+fn table3_threads_row<P: GamePosition>(
+    tree: &TreeSpec<P>,
+    threads: usize,
+    spec: Speculation,
+) -> ThreadsRow {
+    threads_row(
+        tree.name,
+        &tree.root,
+        tree.depth,
+        tree.serial_depth,
+        tree.order,
+        threads,
+        spec,
+    )
+}
+
+/// R1 and O1 at Table 3 settings on one thread with
+/// [`REFUTATION_ONLY`]. A refill takes speculative work only while its
+/// take is empty, and a lone worker is never starved while the search is
+/// live, so these rows must follow exactly the schedule of the
+/// one-thread [`threads_rows`] entries.
+pub fn one_thread_refutation_rows() -> Vec<ThreadsRow> {
+    vec![
+        table3_threads_row(&crate::trees::random_trees()[0], 1, REFUTATION_ONLY),
+        table3_threads_row(&crate::trees::othello_trees()[0], 1, REFUTATION_ONLY),
+    ]
 }
 
 /// One scaling measurement: a Table 3 tree searched by the threaded

@@ -571,7 +571,17 @@ impl<P: GamePosition> ErWorker<P> {
 
     /// Selects the next job per Table 1, resolving cutoffs and dead work.
     /// Must be called under the heap lock.
-    pub fn select(&mut self) -> Select {
+    ///
+    /// The primary queue is always tried first. `speculate` says whether
+    /// the caller would otherwise starve: only then may an empty primary
+    /// queue fall through to the speculative queue and promote an e-child
+    /// (§3: speculation exists to feed processors that have nothing else).
+    /// With `false` the speculative queue is never popped and an empty
+    /// primary queue yields [`Select::Empty`]. The simulator takes one
+    /// unit at a time, so it always passes `true`; the threaded refill
+    /// passes `true` only while its take is still empty, so a batch is
+    /// never topped up with speculative work no one was waiting for.
+    pub fn select(&mut self, speculate: bool) -> Select {
         if self.finished {
             return Select::Empty;
         }
@@ -591,7 +601,7 @@ impl<P: GamePosition> ErWorker<P> {
                 }
                 return Select::Job(self.job_for(id));
             }
-            if self.spec_enabled() {
+            if speculate && self.spec_enabled() {
                 if let Some(p) = self.spec.pop() {
                     self.tree.node_mut(p).on_spec = false;
                     if self.tree.node(p).done || self.tree.node(p).refuting || self.tree.is_dead(p)
@@ -916,7 +926,7 @@ struct SimAdapter<P: GamePosition, T: TtAccess<P>, O: OrdAccess> {
 
 impl<P: GamePosition, T: TtAccess<P>, O: OrdAccess> HeapWorker for SimAdapter<P, T, O> {
     fn take(&mut self, now: u64) -> Option<TakenWork> {
-        match self.worker.select() {
+        match self.worker.select(true) {
             Select::Empty => None,
             Select::JustFinished => {
                 let token = self.inflight.len() as u64;

@@ -27,6 +27,13 @@
 //!   are expensive relative to execution, and shrinks it (down to 1) when
 //!   the queues run dry — small batches keep work fresh against the moving
 //!   alpha-beta windows, large ones amortize contention.
+//! * **Speculation only on starvation.** A refill tops its batch up from
+//!   the primary queue alone; it may promote a speculative e-child only
+//!   while its take is still empty ([`ErWorker::select`]'s `speculate`
+//!   flag), as the paper's processors turn to the speculative queue only
+//!   when they would otherwise idle. A lone worker is never starved while
+//!   the search is live, so at one thread early choice and multiple
+//!   e-nodes leave the schedule untouched.
 //!
 //! Stealing is on whenever there is a sibling to steal from. Idle threads
 //! park on a condition variable only after a failed steal sweep; a thread
@@ -393,7 +400,11 @@ where
                             }
                             cx.counters.select_batches += 1;
                             while cx.refill.len() < cx.batch_target {
-                                match g.worker.select() {
+                                // Speculate only on starvation: once the
+                                // take holds a job, an empty primary queue
+                                // ends the refill instead of promoting a
+                                // speculative e-child.
+                                match g.worker.select(cx.refill.is_empty()) {
                                     Select::Job(job) => {
                                         if job.task.needs_pos()
                                             && arena.publish(

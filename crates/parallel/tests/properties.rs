@@ -2,13 +2,22 @@
 //! across arbitrary trees, processor counts, and speculation settings, and
 //! step-by-step checks of the Table 1/2 scheduling rules.
 
-use er_parallel::er::engine::{execute_task, ErWorker, Select, Task};
+use er_parallel::er::engine::{execute_task, ErWorker, Job, Select, Task};
 use er_parallel::{run_er_sim, run_er_threads, ErParallelConfig, Speculation};
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value};
 use proptest::prelude::*;
 use search_serial::{negmax, ErConfig, OrderPolicy, SelectivityConfig};
+
+/// The eight on/off combinations of §5's three speculation mechanisms.
+fn all_speculations() -> impl Iterator<Item = Speculation> {
+    (0u32..8).map(|bits| Speculation {
+        parallel_refutation: bits & 1 != 0,
+        multiple_enodes: bits & 2 != 0,
+        early_choice: bits & 4 != 0,
+    })
+}
 
 fn arb_tree() -> impl Strategy<Value = TreeSpec> {
     let leaf_strategy = (-100i32..100).prop_map(leaf);
@@ -44,17 +53,19 @@ proptest! {
     }
 
     #[test]
-    fn threads_match_negmax_on_random_trees(
-        seed in any::<u64>(),
-        threads_idx in 0usize..4,
-    ) {
-        // Every thread count agrees with negamax, and none deep-clones a
-        // position under the heap lock.
-        let threads = [1usize, 2, 4, 8][threads_idx];
+    fn threads_match_negmax_on_random_trees(seed in any::<u64>()) {
+        // Every speculation combination at every thread count agrees with
+        // negamax, and none deep-clones a position under the heap lock.
         let root = RandomTreeSpec::new(seed, 3, 5).root();
-        let r = run_er_threads(&root, 5, threads, &ErParallelConfig::random_tree(2));
-        prop_assert_eq!(r.value, negmax(&root, 5).value);
-        prop_assert_eq!(r.counters().pos_clones_in_lock, 0);
+        let exact = negmax(&root, 5).value;
+        for spec in all_speculations() {
+            let cfg = ErParallelConfig { spec, ..ErParallelConfig::random_tree(2) };
+            for threads in [1usize, 2, 4, 8] {
+                let r = run_er_threads(&root, 5, threads, &cfg);
+                prop_assert_eq!(r.value, exact, "{:?} at {} threads", spec, threads);
+                prop_assert_eq!(r.counters().pos_clones_in_lock, 0);
+            }
+        }
     }
 
     #[test]
@@ -70,6 +81,22 @@ proptest! {
     }
 }
 
+/// Executes `job` and applies its outcome; `true` once the root is done.
+fn complete<P: GamePosition>(w: &mut ErWorker<P>, job: &Job, cfg: &ErParallelConfig) -> bool {
+    let pos = job.task.needs_pos().then(|| w.node_pos(job.id).clone());
+    let scfg = ErConfig {
+        order: cfg.order,
+        sel: cfg.sel,
+    };
+    let outcome = execute_task(
+        &job.task,
+        pos.as_ref(),
+        scfg,
+        search_serial::Hooks::default(),
+    );
+    w.apply(job.id, outcome)
+}
+
 /// Drives an ErWorker synchronously, returning the label sequence of the
 /// first `limit` jobs (a deterministic schedule at k=1).
 fn drive_labels<P: GamePosition>(
@@ -81,7 +108,7 @@ fn drive_labels<P: GamePosition>(
     let mut w = ErWorker::new(pos.clone(), depth, cfg);
     let mut labels = Vec::new();
     while labels.len() < limit {
-        match w.select() {
+        match w.select(true) {
             Select::Empty | Select::JustFinished => break,
             Select::Job(job) => {
                 labels.push(match &job.task {
@@ -94,17 +121,7 @@ fn drive_labels<P: GamePosition>(
                     Task::Serial { refute: false, .. } => "serial-eval",
                     Task::Serial { refute: true, .. } => "serial-refute",
                 });
-                let pos = job.task.needs_pos().then(|| w.node_pos(job.id).clone());
-                let outcome = execute_task(
-                    &job.task,
-                    pos.as_ref(),
-                    ErConfig {
-                        order: cfg.order,
-                        sel: cfg.sel,
-                    },
-                    search_serial::Hooks::default(),
-                );
-                if w.apply(job.id, outcome) {
+                if complete(&mut w, &job, &cfg) {
                     break;
                 }
             }
@@ -156,6 +173,46 @@ fn refutation_jobs_appear_after_the_echild_evaluates() {
     let first_refute = labels.iter().position(|&l| l == "serial-refute").unwrap();
     let first_eval = labels.iter().position(|&l| l == "serial-eval").unwrap();
     assert!(first_eval < first_refute);
+}
+
+#[test]
+fn speculative_queue_is_popped_only_when_asked() {
+    // Run the worker like a four-processor heap: take with `select(false)`
+    // until the primary queue runs dry, then complete the oldest job. The
+    // first time the primary queue is empty while the speculative queue
+    // still holds an e-node, `select(false)` must keep answering `Empty`
+    // and `select(true)` must promote an e-child and hand out its job.
+    let root = RandomTreeSpec::new(5, 3, 6).root();
+    let cfg = ErParallelConfig::random_tree(0);
+    let mut w = ErWorker::new(root, 6, cfg);
+    let mut pending = std::collections::VecDeque::new();
+    loop {
+        let mut dry = false;
+        while pending.len() < 4 {
+            match w.select(false) {
+                Select::Job(job) => pending.push_back(job),
+                Select::Empty => {
+                    dry = true;
+                    break;
+                }
+                Select::JustFinished => panic!("finished before the speculative queue was used"),
+            }
+        }
+        if dry && w.work_available() {
+            break;
+        }
+        let job = pending.pop_front().expect("work in flight");
+        assert!(
+            !complete(&mut w, &job, &cfg),
+            "finished before the speculative queue was used"
+        );
+    }
+    assert!(matches!(w.select(false), Select::Empty));
+    assert!(
+        w.work_available(),
+        "select(false) left the speculative queue"
+    );
+    assert!(matches!(w.select(true), Select::Job(_)));
 }
 
 #[test]

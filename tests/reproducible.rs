@@ -2,7 +2,14 @@
 //! to contend with, the threaded back-end takes a fixed batch per lock
 //! acquisition, so every run of a tree follows the same schedule —
 //! speculative selection included — with or without a table.
+//!
+//! One thread also never speculates: a refill may promote a speculative
+//! e-child only while its take is still empty, and a lone worker whose
+//! primary queue is empty has nothing in flight, so the search is over.
+//! Early choice and multiple e-nodes therefore change nothing at one
+//! thread — not the value, the node counts, nor how the lock was used.
 
+use er_bench::experiments::REFUTATION_ONLY;
 use er_bench::trees::{checkers_tree, othello_trees, random_trees, TreeSpec};
 use er_search::prelude::*;
 use problem_heap::CostModel;
@@ -17,12 +24,13 @@ type Fingerprint = (Value, SearchStats, u64, u64, u64);
 
 fn one_thread_run<P: GamePosition + Zobrist>(
     tree: &TreeSpec<P>,
+    spec: Speculation,
     table: Option<&TranspositionTable>,
 ) -> Fingerprint {
     let cfg = ErParallelConfig {
         serial_depth: tree.serial_depth,
         order: tree.order,
-        spec: Speculation::ALL,
+        spec,
         cost: CostModel::default(),
         sel: SelectivityConfig::OFF,
     };
@@ -56,7 +64,7 @@ fn assert_reproducible<P: GamePosition + Zobrist>(tree: &TreeSpec<P>) {
                 // A fresh table per run: a warm one would answer the second
                 // run from the first's entries.
                 let table = with_table.then(|| TranspositionTable::with_bits(16));
-                one_thread_run(tree, table.as_ref())
+                one_thread_run(tree, Speculation::ALL, table.as_ref())
             })
             .collect();
         assert!(
@@ -80,4 +88,32 @@ fn one_thread_runs_repeat_exactly_on_o1() {
 #[test]
 fn one_thread_runs_repeat_exactly_on_c1() {
     assert_reproducible(&checkers_tree());
+}
+
+fn assert_no_speculation_at_one_thread<P: GamePosition + Zobrist>(tree: &TreeSpec<P>) {
+    for with_table in [false, true] {
+        let fresh = || with_table.then(|| TranspositionTable::with_bits(16));
+        let all = one_thread_run(tree, Speculation::ALL, fresh().as_ref());
+        let refutation = one_thread_run(tree, REFUTATION_ONLY, fresh().as_ref());
+        assert_eq!(
+            all, refutation,
+            "{} (table {with_table}): the speculative queue fired at one thread",
+            tree.name
+        );
+    }
+}
+
+#[test]
+fn one_thread_never_speculates_on_r1() {
+    assert_no_speculation_at_one_thread(&random_trees()[0]);
+}
+
+#[test]
+fn one_thread_never_speculates_on_o1() {
+    assert_no_speculation_at_one_thread(&othello_trees()[0]);
+}
+
+#[test]
+fn one_thread_never_speculates_on_c1() {
+    assert_no_speculation_at_one_thread(&checkers_tree());
 }
