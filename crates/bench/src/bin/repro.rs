@@ -12,32 +12,27 @@
 //! repro ordering    Marsland's ordering-strength metric, plus the
 //!                   dynamic killer/history + aspiration node-count
 //!                   grid on O1 with its timing-free asserts (accepts
-//!                   --threads 1,4,16; writes BENCH_ordering.json at
-//!                   the repo root and results/ordering_chrome.json)
+//!                   --threads 1,4,16; also writes the untracked
+//!                   results/ordering_chrome.json)
 //! repro threads     real-thread back-end: contention counters and
-//!                   memoized-evaluation savings (writes
-//!                   BENCH_threads.json at the repo root)
+//!                   memoized-evaluation savings
 //! repro tt          shared transposition table on/off across worker
-//!                   counts (accepts --tt-bits N; writes BENCH_tt.json
-//!                   at the repo root)
+//!                   counts (accepts --tt-bits N)
 //! repro scaling     work-stealing execution layer across thread counts
-//!                   (accepts --threads 1,2,4,8; writes
-//!                   BENCH_scaling.json at the repo root)
+//!                   (accepts --threads 1,2,4,8)
 //! repro deadline    abort-safe search control: anytime iterative
 //!                   deepening under shrinking wall-clock budgets, plus
 //!                   full-budget equality vs the fixed-depth back-end
-//!                   (writes BENCH_deadline.json at the repo root)
 //! repro trace       search telemetry: traced threaded runs per thread
 //!                   count, the deterministic speculation curve, and a
 //!                   full-coverage Chrome-trace timeline (accepts
-//!                   --threads 1,2,4,8; writes BENCH_trace.json at the
-//!                   repo root and results/trace_chrome.json)
+//!                   --threads 1,2,4,8; also writes the untracked
+//!                   results/trace_chrome.json)
 //! repro serve       multi-session engine server under load: mixed
 //!                   families/priorities against fixed admission caps,
 //!                   latency percentiles, shed accounting, per-class
 //!                   fairness (accepts --sessions N, --threads N,
-//!                   --tt-bits N; writes BENCH_serve.json at the repo
-//!                   root)
+//!                   --tt-bits N)
 //! repro uci         interactive UCI-style protocol loop over
 //!                   stdin/stdout (try `echo "go movetime 20" |
 //!                   repro uci`)
@@ -47,16 +42,14 @@
 //!                   asserted), perft equivalence under both kernel
 //!                   sets, root-value equality across every search
 //!                   back-end, and a linted traced run (accepts
-//!                   --threads 1,2,4; writes BENCH_mech.json at the
-//!                   repo root)
+//!                   --threads 1,2,4)
 //! repro obs         observability gates: metrics-on vs metrics-off
 //!                   byte-identical root values and node counts, <=2%
 //!                   nodes/sec overhead (best-of-N interleaved trials),
 //!                   and a mixed serve+match workload whose periodic
 //!                   exposition snapshots all pass the format linter
 //!                   (accepts --trials 5, --sessions 16, --games 2,
-//!                   --threads 2; writes BENCH_obs.json at the repo
-//!                   root and results/obs_metrics.prom)
+//!                   --threads 2; also writes results/obs_metrics.prom)
 //! repro match       repeated-game engine loop: full self-play games in
 //!                   both families (warm TT + ordering state across
 //!                   moves, per-move time management), ER-threads vs the
@@ -64,8 +57,7 @@
 //!                   openings with color swap; gates on legality, zero
 //!                   forfeits, warm-TT hits, and ER points >= the
 //!                   fixed-depth baseline (accepts --games 8,
-//!                   --tc 1000+10, --threads N, --tt-bits N; writes
-//!                   BENCH_match.json at the repo root)
+//!                   --tc 1000+10, --threads N, --tt-bits N)
 //! repro all         everything above (except the interactive `uci`)
 //! ```
 //!
@@ -531,9 +523,8 @@ fn ordering() {
         data.total_events()
     );
 
-    // results/ordering.json carries both sections; BENCH_ordering.json at
-    // the repo root mirrors the dynamic rows like the other BENCH files.
-    // The trace linter double-checks everything we wrote is valid JSON.
+    // results/ordering.json carries both sections. The trace linter
+    // double-checks everything we wrote is valid JSON.
     let combined = OrderingReport {
         strength,
         dynamic: rows,
@@ -541,12 +532,6 @@ fn ordering() {
     save_json("ordering", &combined);
     let pretty = er_bench::json::to_pretty(&combined);
     trace::lint::check(&pretty).expect("results/ordering.json must be valid JSON");
-    let bench = er_bench::json::to_pretty(&combined.dynamic);
-    trace::lint::check(&bench).expect("BENCH_ordering.json must be valid JSON");
-    let mut f = fs::File::create("BENCH_ordering.json").expect("create BENCH_ordering.json");
-    f.write_all(bench.as_bytes())
-        .expect("write BENCH_ordering.json");
-    println!("  -> BENCH_ordering.json");
 }
 
 /// The two sections of `results/ordering.json`: the static
@@ -657,10 +642,6 @@ fn threads() {
         r1.acquisition_ratio, o1.cached_leaf_hits, o1.seed_eval_calls
     );
     save_json("threads", &rows);
-    let mut f = fs::File::create("BENCH_threads.json").expect("create BENCH_threads.json");
-    f.write_all(er_bench::json::to_pretty(&rows).as_bytes())
-        .expect("write BENCH_threads.json");
-    println!("  -> BENCH_threads.json");
 }
 
 fn tt() {
@@ -780,10 +761,6 @@ fn tt() {
         }
     }
     save_json("tt", &rows);
-    let mut f = fs::File::create("BENCH_tt.json").expect("create BENCH_tt.json");
-    f.write_all(er_bench::json::to_pretty(&rows).as_bytes())
-        .expect("write BENCH_tt.json");
-    println!("  -> BENCH_tt.json");
 }
 
 fn scaling() {
@@ -843,10 +820,6 @@ fn scaling() {
         );
     }
     save_json("scaling", &rows);
-    let mut f = fs::File::create("BENCH_scaling.json").expect("create BENCH_scaling.json");
-    f.write_all(er_bench::json::to_pretty(&rows).as_bytes())
-        .expect("write BENCH_scaling.json");
-    println!("  -> BENCH_scaling.json");
 }
 
 fn deadline() {
@@ -943,10 +916,6 @@ fn deadline() {
          anytime values bit-identical to fixed-depth runs on R1, O1, C1"
     );
     save_json("deadline", &rows);
-    let mut f = fs::File::create("BENCH_deadline.json").expect("create BENCH_deadline.json");
-    f.write_all(er_bench::json::to_pretty(&rows).as_bytes())
-        .expect("write BENCH_deadline.json");
-    println!("  -> BENCH_deadline.json");
 }
 
 fn trace() {
@@ -1081,12 +1050,8 @@ fn trace() {
         chrome_attempts: chrome.attempts,
     };
     let rendered = er_bench::json::to_pretty(&bench);
-    trace::lint::check(&rendered).expect("BENCH_trace.json must be well-formed JSON");
+    trace::lint::check(&rendered).expect("results/trace.json must be well-formed JSON");
     save_json("trace", &bench);
-    let mut f = fs::File::create("BENCH_trace.json").expect("create BENCH_trace.json");
-    f.write_all(rendered.as_bytes())
-        .expect("write BENCH_trace.json");
-    println!("  -> BENCH_trace.json");
 }
 
 fn serve() {
@@ -1164,12 +1129,8 @@ fn serve() {
     );
 
     let rendered = er_bench::json::to_pretty(&bench);
-    trace::lint::check(&rendered).expect("BENCH_serve.json must be well-formed JSON");
+    trace::lint::check(&rendered).expect("results/serve.json must be well-formed JSON");
     save_json("serve", &bench);
-    let mut f = fs::File::create("BENCH_serve.json").expect("create BENCH_serve.json");
-    f.write_all(rendered.as_bytes())
-        .expect("write BENCH_serve.json");
-    println!("  -> BENCH_serve.json");
 }
 
 fn uci() {
@@ -1297,10 +1258,6 @@ fn mech() {
     save_json("mech", &report);
     let pretty = er_bench::json::to_pretty(&report);
     trace::lint::check(&pretty).expect("results/mech.json must be valid JSON");
-    let mut f = fs::File::create("BENCH_mech.json").expect("create BENCH_mech.json");
-    f.write_all(pretty.as_bytes())
-        .expect("write BENCH_mech.json");
-    println!("  -> BENCH_mech.json");
 }
 
 /// One `repro match` pairing, flattened for the report: W/D/L plus the
@@ -1328,7 +1285,7 @@ struct MatchPairingRow {
     moves: Vec<MatchMoveRow>,
 }
 
-/// One move's telemetry in `BENCH_match.json`.
+/// One move's telemetry in `results/match.json`.
 struct MatchMoveRow {
     game: usize,
     ply: u32,
@@ -1397,7 +1354,7 @@ impl er_bench::json::ToJson for MatchMoveRow {
 
 /// Cap on per-move telemetry rows kept per pairing in the JSON exports,
 /// mirroring the bounded Chrome-export ring (`trace`'s ring capacity):
-/// a long `--games` run must not grow `BENCH_match.json` without bound.
+/// a long `--games` run must not grow `results/match.json` without bound.
 /// The earliest rows in play order are kept; the aggregate fields
 /// (`total_moves`, means, the warm-hit gate) still cover every move.
 const MATCH_MOVE_ROW_CAP: usize = 2048;
@@ -1552,12 +1509,8 @@ fn obs() {
         bench.exposition_lines
     );
     let rendered = er_bench::json::to_pretty(&bench);
-    trace::lint::check(&rendered).expect("BENCH_obs.json must be well-formed JSON");
+    trace::lint::check(&rendered).expect("results/obs.json must be well-formed JSON");
     save_json("obs", &bench);
-    let mut f = fs::File::create("BENCH_obs.json").expect("create BENCH_obs.json");
-    f.write_all(rendered.as_bytes())
-        .expect("write BENCH_obs.json");
-    println!("  -> BENCH_obs.json");
 }
 
 fn match_play() {
@@ -1672,10 +1625,6 @@ fn match_play() {
     save_json("match", &rows);
     let pretty = er_bench::json::to_pretty(&rows);
     trace::lint::check(&pretty).expect("results/match.json must be valid JSON");
-    let mut f = fs::File::create("BENCH_match.json").expect("create BENCH_match.json");
-    f.write_all(pretty.as_bytes())
-        .expect("write BENCH_match.json");
-    println!("  -> BENCH_match.json");
 }
 
 fn main() {

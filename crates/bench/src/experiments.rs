@@ -641,11 +641,12 @@ struct SimIdRun {
     history_hits: u64,
 }
 
-/// Runs the aspiration-windowed deepening protocol (er::id's exact rule:
-/// full window at depth 1, `±delta` probe after, one widened re-search on
-/// failure) on the deterministic simulator, with or without shared
-/// killer/history tables. `ordering == false, delta == 0` is bit-identical
-/// to the plain `run_er_sim` loop — the PR-5 baseline.
+/// Runs the one deepening driver ([`er_parallel::IdStepper`]: full window
+/// at depth 1, `±delta` probe after, one widened re-search on failure) over
+/// the deterministic simulator, with or without shared killer/history
+/// tables aged before every depth after the first. `ordering == false,
+/// delta == 0` is bit-identical to the plain `run_er_sim` loop — the PR-5
+/// baseline.
 fn sim_id_run<P: GamePosition>(
     root: &P,
     max_depth: u32,
@@ -654,65 +655,40 @@ fn sim_id_run<P: GamePosition>(
     ordering: bool,
     delta: i32,
 ) -> SimIdRun {
-    use er_parallel::{run_er_sim_with, Hooks};
-    use gametree::Window;
+    use er_parallel::{run_er_sim_with, AspirationConfig, Hooks, IdStepper, SearchControl};
     use search_serial::OrderingTables;
 
     let tables = OrderingTables::new();
-    let mut out = SimIdRun {
-        value: Value::ZERO,
-        nodes: 0,
-        window_hits: 0,
-        re_searches: 0,
-        killer_hits: 0,
-        history_hits: 0,
-    };
-    let mut prev: Option<Value> = None;
+    let ctl = SearchControl::unlimited();
+    let mut stepper = IdStepper::new(root.evaluate(), AspirationConfig { delta, ordering });
+    let (mut killer_hits, mut history_hits) = (0, 0);
     for depth in 1..=max_depth {
         if ordering && depth > 1 {
             tables.age();
         }
-        let window = match prev {
-            Some(p) if delta > 0 => Window::new(
-                Value::new(p.get().saturating_sub(delta)),
-                Value::new(p.get().saturating_add(delta)),
-            ),
-            _ => Window::FULL,
-        };
-        let run = |w: Window, out: &mut SimIdRun| {
-            let r = if ordering {
-                run_er_sim_with(
-                    root,
-                    depth,
-                    w,
-                    workers,
-                    cfg,
-                    Hooks::default().with_ord(&tables),
-                )
-            } else {
-                run_er_sim_with(root, depth, w, workers, cfg, Hooks::default())
-            };
-            out.nodes += r.stats.nodes();
-            out.killer_hits += r.stats.killer_hits;
-            out.history_hits += r.stats.history_hits;
-            r.value
-        };
-        let mut value = run(window, &mut out);
-        if window != Window::FULL && (value >= window.beta || value <= window.alpha) {
-            out.re_searches += 1;
-            let rw = if value >= window.beta {
-                Window::new(Value::new(window.beta.get() - 1), Value::INF)
-            } else {
-                Window::new(Value::NEG_INF, Value::new(window.alpha.get() + 1))
-            };
-            value = run(rw, &mut out);
-        } else if window != Window::FULL {
-            out.window_hits += 1;
-        }
-        prev = Some(value);
-        out.value = value;
+        stepper
+            .step_with(depth, &ctl, (), |d, w, _| {
+                let r = if ordering {
+                    let hooks = Hooks::default().with_ord(&tables);
+                    run_er_sim_with(root, d, w, workers, cfg, hooks)
+                } else {
+                    run_er_sim_with(root, d, w, workers, cfg, Hooks::default())
+                };
+                killer_hits += r.stats.killer_hits;
+                history_hits += r.stats.history_hits;
+                Ok((r.value, r.stats))
+            })
+            .expect("an unlimited simulated step cannot abort");
     }
-    out
+    let r = stepper.into_result();
+    SimIdRun {
+        value: r.value,
+        nodes: r.total_nodes(),
+        window_hits: r.window_hits,
+        re_searches: r.re_searches,
+        killer_hits,
+        history_hits,
+    }
 }
 
 /// The dynamic-ordering grid: O1 at Table 3 settings in the deterministic
@@ -1530,8 +1506,8 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
                 jobs: report.count_of(EventKind::JobExecute),
                 busy_fraction: report.mean_busy_fraction(),
                 park_fraction: report.mean_park_fraction(),
-                mean_lock_wait_ns: report.lock_wait.mean_ns(),
-                max_lock_wait_ns: report.lock_wait.max_ns,
+                mean_lock_wait_ns: report.lock_wait.mean(),
+                max_lock_wait_ns: report.lock_wait.max,
                 steal_attempts: report.count_of(EventKind::StealAttempt),
                 steal_hits: report.count_of(EventKind::StealHit),
                 parks: report.count_of(EventKind::Park),
@@ -1716,7 +1692,7 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
     );
 }
 
-/// Everything `repro trace` writes to `BENCH_trace.json`.
+/// Everything `repro trace` writes to `results/trace.json`.
 #[derive(Clone, Debug)]
 pub struct TraceBench {
     /// Tree the traced runs searched.

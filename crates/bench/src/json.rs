@@ -216,7 +216,7 @@ mod tests {
 
     #[test]
     fn object_key_order_is_declared_order_and_byte_stable() {
-        // BENCH_*.json and results/*.json are diffed run-to-run; churn
+        // results/*.json are diffed run-to-run; churn
         // from reordered keys would read as result changes. Keys must
         // come out in impl_to_json! declaration order, every time.
         let d = Demo {

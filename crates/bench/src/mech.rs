@@ -19,8 +19,8 @@
 //!    worker counts) still produces the identical root value on the O1
 //!    benchmark tree, and a traced threaded run stays well-formed.
 //!
-//! Results print as tables and land in `results/mech.json` plus
-//! `BENCH_mech.json` at the repo root (both linted as JSON).
+//! Results print as tables and land in `results/mech.json` (linted as
+//! JSON).
 
 use criterion::{measure, Throughput};
 use othello::board::reference;

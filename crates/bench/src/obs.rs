@@ -7,9 +7,9 @@
 //! 1. **Transparency** — a metrics-on search returns byte-identical
 //!    root values to a metrics-off search of the same tree, and (at one
 //!    thread, where scheduling cannot reorder work) an identical node
-//!    count. The handle pattern promises metrics-off *compiles* to the
-//!    uninstrumented code; this gate checks the metrics-on path changes
-//!    nothing but the recording.
+//!    count. A metric set never reaches the search: the run's own
+//!    counters are folded in after it returns (`er_parallel::record_run`),
+//!    and this gate checks the fold changes nothing but the recording.
 //! 2. **Overhead** — best-of-N interleaved trials over a fixed probe
 //!    set: metrics-on throughput (nodes/sec) must stay within
 //!    [`MAX_OVERHEAD_FRACTION`] of metrics-off. Interleaving off/on
@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engine_server::AnyPos;
-use er_parallel::{run_er_threads_with, ErParallelConfig, Hooks};
+use er_parallel::{record_run, run_er_threads_with, ErParallelConfig, Hooks};
 use gametree::Window;
 use match_harness::{run_match_with, EngineSpec, Family, MatchConfig};
-use metrics::{EngineMetrics, MetricsAccess};
+use metrics::EngineMetrics;
 
 use crate::json::impl_to_json;
 
@@ -122,21 +122,18 @@ impl_to_json!(ObsBench {
 });
 
 /// One probe search at one thread, timed, in the paper's configuration
-/// (speculation on). A one-thread run takes a fixed batch, so its
-/// schedule — speculative selection included — is reproducible to the
-/// node, and the identity gate can demand equal node counts.
-fn probe<M: MetricsAccess>(pos: &AnyPos, depth: u32, mx: M) -> (i32, u64, Duration) {
+/// (speculation on), folded into `mx` when one is given. A one-thread run
+/// takes a fixed batch, so its schedule — speculative selection included
+/// — is reproducible to the node, and the identity gate can demand equal
+/// node counts.
+fn probe(pos: &AnyPos, depth: u32, mx: Option<&EngineMetrics>) -> (i32, u64, Duration) {
     let cfg = ErParallelConfig::random_tree(3);
     let t0 = Instant::now();
-    let r = run_er_threads_with(
-        pos,
-        depth,
-        Window::FULL,
-        1,
-        &cfg,
-        Hooks::default().with_metrics(mx),
-    )
-    .expect("an unlimited probe search cannot abort");
+    let run = run_er_threads_with(pos, depth, Window::FULL, 1, &cfg, Hooks::default());
+    if let Some(m) = mx {
+        record_run(m, &run);
+    }
+    let r = run.expect("an unlimited probe search cannot abort");
     (r.value.get(), r.stats.nodes(), t0.elapsed())
 }
 
@@ -149,7 +146,7 @@ fn overhead_gate(trials: usize, depth: u32) -> (Vec<ObsProbe>, f64, f64) {
         .collect();
     // Warm the allocator and caches outside the timed region.
     for pos in &roots {
-        probe(pos, depth, ());
+        probe(pos, depth, None);
     }
     let mut probes: Vec<ObsProbe> = Vec::new();
     let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
@@ -173,8 +170,8 @@ fn overhead_gate(trials: usize, depth: u32) -> (Vec<ObsProbe>, f64, f64) {
     for trial in 0..min_trials * 4 {
         let (mut d_off, mut d_on) = (Duration::ZERO, Duration::ZERO);
         for (i, pos) in roots.iter().enumerate() {
-            let (v_off, n_off, e_off) = probe(pos, depth, ());
-            let (v_on, n_on, e_on) = probe(pos, depth, &m);
+            let (v_off, n_off, e_off) = probe(pos, depth, None);
+            let (v_on, n_on, e_on) = probe(pos, depth, Some(&m));
             d_off += e_off;
             d_on += e_on;
             if trial == 0 {

@@ -34,7 +34,7 @@ fn chrome_export_of_a_threaded_run_is_valid_json() {
 
 #[test]
 fn speculation_splits_render_as_valid_json() {
-    // The deterministic classifier output rides into BENCH_trace.json via
+    // The deterministic classifier output rides into results/trace.json via
     // the bench crate's writer; the rendered rows must parse.
     let root = RandomTreeSpec::new(3, 3, 5).root();
     let splits = er_parallel::mandatory::speculation_splits(

@@ -60,10 +60,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_parallel::{
-    run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
+    record_run, run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
-use metrics::{EngineMetrics, MetricsAccess};
+use metrics::EngineMetrics;
 use search_serial::OrderingTables;
 use trace::{TraceAccess, TraceData, Tracer};
 use tt::{TranspositionTable, TtStats, Zobrist};
@@ -392,15 +392,16 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         let ord = sess.ordering.then_some(&self.ord);
         let mx = self.metrics.as_deref();
         let (pos, threads, cfg) = (&sess.pos, self.cfg.threads, &sess.cfg);
-        let hooks = Hooks::default().with_tt(&self.table).with_metrics(mx);
+        let hooks = Hooks::default().with_tt(&self.table);
         let step = match &sess.tracer {
-            Some(t) => sess.stepper.step_with(depth, &ctl, t, |d, w, c| {
-                let hooks = hooks.with_ctl(c).with_tracer(t);
-                slice_search(pos, d, w, threads, cfg, hooks, ord)
-            }),
-            None => sess.stepper.step_with(depth, &ctl, (), |d, w, c| {
-                slice_search(pos, d, w, threads, cfg, hooks.with_ctl(c), ord)
-            }),
+            Some(t) => {
+                let search = slice_search(pos, threads, cfg, hooks.with_tracer(t), ord, mx);
+                sess.stepper.step_with(depth, &ctl, t, search)
+            }
+            None => {
+                let search = slice_search(pos, threads, cfg, hooks, ord, mx);
+                sess.stepper.step_with(depth, &ctl, (), search)
+            }
         };
         sess.slices += 1;
         let slice_elapsed = start.elapsed();
@@ -469,25 +470,30 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
     }
 }
 
-/// One windowed fixed-depth search — the body of every slice, under the
-/// slice's table, control, trace and metrics hooks. The optional shared
-/// ordering tables are erased here so the caller needs no type-level
-/// branching.
-pub(crate) fn slice_search<P: GamePosition + Zobrist, R: TraceAccess, M: MetricsAccess>(
-    pos: &P,
-    depth: u32,
-    window: Window,
+/// The body of every slice, as the deepening driver's search step: one
+/// windowed fixed-depth search of `pos` under the slice's control plus the
+/// table and trace `hooks`. The optional shared ordering tables are erased
+/// here so the caller needs no type-level branching, and each run is
+/// folded into the metric set `mx`, when one is attached, as it returns.
+pub(crate) fn slice_search<'a, P: GamePosition + Zobrist, R: TraceAccess + 'a>(
+    pos: &'a P,
     threads: usize,
-    cfg: &ErParallelConfig,
-    hooks: Hooks<&TranspositionTable, &SearchControl, R, (), M>,
-    ord: Option<&OrderingTables>,
-) -> Result<(Value, SearchStats), AbortReason> {
-    match ord {
-        Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, hooks.with_ord(o)),
-        None => run_er_threads_with(pos, depth, window, threads, cfg, hooks),
+    cfg: &'a ErParallelConfig,
+    hooks: Hooks<&'a TranspositionTable, (), R>,
+    ord: Option<&'a OrderingTables>,
+    mx: Option<&'a EngineMetrics>,
+) -> impl FnMut(u32, Window, &SearchControl) -> Result<(Value, SearchStats), AbortReason> + 'a {
+    move |depth, window, ctl| {
+        let hooks = hooks.with_ctl(ctl);
+        let run = match ord {
+            Some(o) => run_er_threads_with(pos, depth, window, threads, cfg, hooks.with_ord(o)),
+            None => run_er_threads_with(pos, depth, window, threads, cfg, hooks),
+        };
+        if let Some(m) = mx {
+            record_run(m, &run);
+        }
+        run.map(|r| (r.value, r.stats)).map_err(|e| e.reason)
     }
-    .map(|r| (r.value, r.stats))
-    .map_err(|e| e.reason)
 }
 
 /// Runs one batch to completion on a fresh scheduler: submits every

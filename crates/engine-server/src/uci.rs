@@ -315,8 +315,8 @@ fn search<W: Write + Send>(
         let depth = stepper.next_depth();
         table.new_generation();
         let step = stepper.step_root(depth, ctl, kids.len(), |i, d, w, c| {
-            let hooks = Hooks::default().with_tt(table).with_ctl(c).with_metrics(m);
-            slice_search(&kids[i], d, w, cfg.threads, &er_cfg, hooks, None)
+            let hooks = Hooks::default().with_tt(table);
+            slice_search(&kids[i], cfg.threads, &er_cfg, hooks, None, Some(m))(d, w, c)
         });
         let Ok(s) = step else { break };
         let mut o = out.lock().unwrap();

@@ -5,7 +5,8 @@ use std::time::{Duration, Instant};
 
 use engine_server::{AnyPos, GameClock, TimeControl, TimeManager};
 use er_parallel::{
-    root_split, run_er_threads_with, AbortReason, AspirationConfig, Hooks, IdStepper, SearchControl,
+    record_run, root_split, run_er_threads_with, AbortReason, AspirationConfig, Hooks, IdStepper,
+    SearchControl,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::EngineMetrics;
@@ -103,7 +104,7 @@ impl Player {
 
     /// Observes this player: every move records into `m` (shared freely
     /// across players — the histograms and counters merge).
-    pub fn with_metrics(mut self, m: Arc<EngineMetrics>) -> Player {
+    pub fn observed_by(mut self, m: Arc<EngineMetrics>) -> Player {
         self.metrics = Some(m);
         self
     }
@@ -189,16 +190,17 @@ impl Player {
         let (depth, value, index) = match self.spec {
             EngineSpec::ErThreads { threads } => {
                 let cfg = pos.er_cfg();
-                let hooks = Hooks::default()
-                    .with_tt(&*self.table)
-                    .with_ord(&self.ord)
-                    .with_metrics(self.metrics.as_deref());
+                let hooks = Hooks::default().with_tt(&*self.table).with_ord(&self.ord);
+                let mx = self.metrics.as_deref();
                 // Depth 1 runs uncontrolled (it costs microseconds): the
                 // engine always has a searched move, however small the
                 // budget.
                 self.deepen(pos, kids, self.asp, &unlimited, &ctl, |i, d, w, c| {
-                    let r = run_er_threads_with(&kids[i], d, w, threads, &cfg, hooks.with_ctl(c))
-                        .map_err(|e| e.reason)?;
+                    let run = run_er_threads_with(&kids[i], d, w, threads, &cfg, hooks.with_ctl(c));
+                    if let Some(m) = mx {
+                        record_run(m, &run);
+                    }
+                    let r = run.map_err(|e| e.reason)?;
                     nodes += r.stats.nodes();
                     Ok((r.value, r.stats))
                 })

@@ -142,7 +142,7 @@ pub fn run_match_with(
     let fresh = |spec: EngineSpec| {
         let p = Player::new(spec, cfg.tc, cfg.tt_bits, cfg.max_depth);
         match &metrics {
-            Some(m) => p.with_metrics(Arc::clone(m)),
+            Some(m) => p.observed_by(Arc::clone(m)),
             None => p,
         }
     };

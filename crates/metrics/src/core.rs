@@ -175,6 +175,22 @@ impl Histogram {
         self.shards[worker % self.shards.len()].0.record(v);
     }
 
+    /// Merges samples recorded elsewhere (a [`HistSnapshot`] a worker
+    /// kept privately) into `worker`'s shard, as if each had been
+    /// [`record`](Self::record)ed there.
+    pub fn merge(&self, worker: usize, snap: &HistSnapshot) {
+        let s = &self.shards[worker % self.shards.len()].0;
+        for (b, &n) in s.buckets.iter().zip(&snap.buckets) {
+            if n > 0 {
+                b.fetch_add(n, Relaxed);
+            }
+        }
+        s.count.fetch_add(snap.count, Relaxed);
+        s.sum.fetch_add(snap.sum, Relaxed);
+        s.min.fetch_min(snap.min, Relaxed);
+        s.max.fetch_max(snap.max, Relaxed);
+    }
+
     /// Merges every shard into one immutable snapshot.
     pub fn snapshot(&self) -> HistSnapshot {
         let mut snap = HistSnapshot::empty();
@@ -221,6 +237,18 @@ impl HistSnapshot {
             min: u64::MAX,
             max: 0,
         }
+    }
+
+    /// Records one sample: the plain, single-owner counterpart of
+    /// [`Histogram::record`], for a worker that keeps its samples private
+    /// until the run ends.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
     }
 
     /// Merges `other` in. Associative and commutative with
@@ -277,6 +305,12 @@ impl HistSnapshot {
     }
 }
 
+impl Default for HistSnapshot {
+    fn default() -> HistSnapshot {
+        HistSnapshot::empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +342,44 @@ mod tests {
         assert_eq!(bucket_of(3), 1);
         assert_eq!(bucket_of(4), 2);
         assert_eq!(bucket_of(u64::MAX), 63);
+    }
+
+    #[test]
+    fn snapshot_record_buckets_powers_of_two() {
+        let mut h = HistSnapshot::default();
+        for v in [0u64, 1, 2, 3, 1024] {
+            h.record(v);
+        }
+        assert_eq!(h.buckets[0], 2, "0 and 1 share the first bucket");
+        assert_eq!(h.buckets[1], 2, "2 and 3");
+        assert_eq!(h.buckets[10], 1, "1024");
+        assert_eq!(h.count, 5);
+        assert_eq!((h.min, h.max), (0, 1024));
+        assert!((h.mean() - 206.0).abs() < 1e-9);
+        assert!(h.quantile(0.5) <= 3);
+        assert_eq!(h.quantile(1.0), 1024);
+        assert_eq!(HistSnapshot::default().quantile(0.5), 0);
+    }
+
+    #[test]
+    fn snapshot_record_saturates_top_bucket() {
+        let mut h = HistSnapshot::default();
+        h.record(u64::MAX);
+        assert_eq!(h.buckets[HIST_BUCKETS - 1], 1);
+    }
+
+    #[test]
+    fn merged_snapshot_equals_recording_on_the_shard() {
+        let (direct, merged) = (Histogram::new(2), Histogram::new(2));
+        let mut private = HistSnapshot::default();
+        for v in [0u64, 7, 7, 300, 1 << 40] {
+            direct.record(1, v);
+            private.record(v);
+        }
+        merged.merge(1, &private);
+        merged.merge(0, &HistSnapshot::default());
+        assert_eq!(merged.snapshot(), direct.snapshot());
+        assert_eq!(merged.snapshot(), private);
     }
 
     #[test]

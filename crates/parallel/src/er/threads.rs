@@ -42,7 +42,9 @@
 //! acquisition, wait/hold nanosecond, steal attempt, executed job,
 //! wake-up and park is counted per thread ([`ThreadCounters`]) and
 //! surfaced in [`ErThreadsResult`] so contention is observable, not
-//! guessed at.
+//! guessed at. Those counters are the run's one count: a metric set is
+//! never handed to the run, and its owner folds them in afterwards with
+//! [`record_run`].
 //!
 //! **Abort protocol** (DESIGN.md §10). Every run carries a
 //! [`SearchControl`] token. Workers poll it once per scheduling round
@@ -74,7 +76,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use metrics::MetricsAccess;
+use metrics::EngineMetrics;
 use problem_heap::{ws_deque, PublishSlab, ThreadCounters, WsStealer};
 use trace::{EventKind, TraceAccess, Traced, WorkerTrace};
 use tt::{TtAccess, TtStats};
@@ -138,6 +140,30 @@ impl ErThreadsResult {
             total.merge(c);
         }
         total
+    }
+}
+
+/// Folds one threaded run into a metric set (DESIGN.md §16), once, after
+/// the run returned. A completed run adds its nodes, jobs, steals and
+/// wall-clock time and counts one run; every run, completed or aborted,
+/// adds each worker's lock waits to that worker's histogram shard.
+pub fn record_run(m: &EngineMetrics, run: &Result<ErThreadsResult, SearchAborted>) {
+    let per_thread = match run {
+        Ok(r) => {
+            let total = r.counters();
+            m.search_nodes_total.add(0, r.stats.nodes());
+            m.search_jobs_total.add(0, total.jobs_executed);
+            m.steal_attempts_total.add(0, total.steal_attempts);
+            m.steal_hits_total.add(0, total.steal_hits);
+            m.search_elapsed_ns_total
+                .add(0, r.elapsed.as_nanos() as u64);
+            m.search_runs_total.inc(0);
+            &r.per_thread
+        }
+        Err(e) => &e.counters,
+    };
+    for (worker, c) in per_thread.iter().enumerate() {
+        m.lock_wait_ns.merge(worker, &c.lock_waits);
     }
 }
 
@@ -277,23 +303,19 @@ fn task_arg(task: &Task) -> u32 {
 ///   table probes and stores, abort trips) into a private bounded ring,
 ///   submitted when the thread joins;
 /// * `ord` — shared killer/history tables ranking non-e-node children and
-///   the serial frontier;
-/// * `metrics` — live metrics (DESIGN.md §16): per-acquisition lock waits
-///   land in the engine's lock-wait histogram as they happen, and a
-///   completed run folds its merged node/job/steal totals into the
-///   counters once at the end.
+///   the serial frontier.
 ///
 /// The root value is bit-identical with every hook on or off. With a
 /// narrowed `window` the result is exact only if it falls strictly inside
 /// it; outside it is a fail-hard bound in the failing direction, which the
 /// aspiration driver detects and re-searches.
-pub fn run_er_threads_with<P, T, C, R, O, M>(
+pub fn run_er_threads_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
     window: Window,
     threads: usize,
     cfg: &ErParallelConfig,
-    hooks: Hooks<T, C, R, O, M>,
+    hooks: Hooks<T, C, R, O>,
 ) -> Result<ErThreadsResult, SearchAborted>
 where
     P: GamePosition,
@@ -301,11 +323,10 @@ where
     C: CtlHook,
     R: TraceAccess,
     O: OrdAccess + Send + Sync,
-    M: MetricsAccess,
 {
     let local = SearchControl::unlimited();
     let ctl = hooks.ctl.control().unwrap_or(&local);
-    let (tt, tr, ord, mx) = (hooks.tt, hooks.tracer, hooks.ord, hooks.metrics);
+    let (tt, tr, ord) = (hooks.tt, hooks.tracer, hooks.ord);
     let tt_before = tt.stats();
     assert!(threads > 0);
     // Siblings to steal from and to contend with: only then does the batch
@@ -386,7 +407,6 @@ where
                         cx.counters.lock_acquisitions += 1;
                         cx.counters.lock_wait_nanos += waited;
                         wtr.span_at(EventKind::LockWait, waiting, waited, 0);
-                        mx.observe_lock_wait(me, waited);
                         for (id, outcome) in cx.ready.drain(..) {
                             cx.counters.outcomes_applied += 1;
                             if g.worker.apply(id, outcome) {
@@ -467,6 +487,8 @@ where
                             let hold = holding.elapsed().as_nanos() as u64;
                             cx.counters.lock_hold_nanos += hold;
                             wtr.span_at(EventKind::LockHold, holding, hold, 0);
+                            drop(g);
+                            cx.counters.lock_waits.record(waited);
                             break 'rounds false;
                         }
                         // Targeted hand-off: if work remains after this
@@ -487,6 +509,9 @@ where
                         cx.counters.lock_hold_nanos += hold;
                         wtr.span_at(EventKind::LockHold, holding, hold, refilled as u32);
                         drop(g);
+                        // The distribution is recorded outside the
+                        // critical section, once per acquisition.
+                        cx.counters.lock_waits.record(waited);
 
                         // ---- Execute phase, entirely outside the lock.
                         // Reverse push so the owner pops in scheduler
@@ -613,22 +638,6 @@ where
     // A run that completed its root wins any race with a late trip: the
     // value is exact, so report it.
     if let Some(value) = g.worker.root_value {
-        if M::ENABLED {
-            // One fold per run, off the hot path: the totals are already
-            // merged per thread, so metrics-on cannot perturb the search
-            // (only this cold coordinator tail differs from metrics-off).
-            let mut total = ThreadCounters::default();
-            for c in &per_thread {
-                total.merge(c);
-            }
-            mx.record_search(
-                g.worker.totals.nodes(),
-                total.jobs_executed,
-                total.steal_attempts,
-                total.steal_hits,
-                elapsed.as_nanos() as u64,
-            );
-        }
         return Ok(ErThreadsResult {
             value,
             stats: g.worker.totals,
@@ -687,14 +696,6 @@ fn run_job<P: GamePosition, T: TtAccess<P>, W: WorkerTrace, O: OrdAccess>(
     if matches!(outcome, Outcome::Aborted) {
         cx.counters.jobs_aborted += 1;
         return false;
-    }
-    if let Outcome::Serial { stats, .. } = &outcome {
-        // Harvest the serial frontier's ordering/selectivity counters into
-        // the per-thread totals the bench output surfaces.
-        cx.counters.re_searches += stats.re_searches;
-        cx.counters.killer_hits += stats.killer_hits;
-        cx.counters.history_hits += stats.history_hits;
-        cx.counters.q_extensions += stats.q_extensions;
     }
     cx.ready.push((id, outcome));
     true
@@ -770,6 +771,9 @@ mod tests {
         assert!(total.jobs_executed > 0);
         // Every executed job's outcome is applied exactly once.
         assert_eq!(total.jobs_executed, total.outcomes_applied);
+        // The lock-wait distribution holds one sample per acquisition.
+        assert_eq!(total.lock_waits.count, total.lock_acquisitions);
+        assert_eq!(total.lock_waits.sum, total.lock_wait_nanos);
         // Batching must beat two-acquisitions-per-job (the seed design)
         // by construction: apply and select share an acquisition.
         assert!(

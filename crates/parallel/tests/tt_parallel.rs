@@ -209,19 +209,15 @@ fn sim_tt_is_deterministic_and_exact() {
 #[test]
 fn every_table_backed_threaded_run_reports_its_table_delta() {
     // The session scheduler's path: a narrowed window with shared ordering
-    // tables and metrics beside the table. The report is the run's delta
-    // of the table's counters, not the table's lifetime totals.
+    // tables beside the table. The report is the run's delta of the
+    // table's counters, not the table's lifetime totals.
     use search_serial::OrderingTables;
     let root = OthelloPos::initial();
     let cfg = ErParallelConfig::othello();
     let table = TranspositionTable::with_bits(16);
     let ord = OrderingTables::new();
-    let metrics = metrics::EngineMetrics::new(2);
     let window = Window::new(gametree::Value::new(-40), gametree::Value::new(40));
-    let hooks = Hooks::default()
-        .with_tt(&table)
-        .with_ord(&ord)
-        .with_metrics(&metrics);
+    let hooks = Hooks::default().with_tt(&table).with_ord(&ord);
     for pass in 0..2 {
         let before = table.stats();
         let r = run_er_threads_with(&root, 5, window, 2, &cfg, hooks).expect("cannot abort");

@@ -11,6 +11,7 @@
 //! ```
 
 use gametree::SearchStats;
+use metrics::HistSnapshot;
 
 /// Virtual costs, in ticks, of the primitive search operations. Ratios are
 /// what matter: a static evaluation is several times the cost of generating
@@ -46,8 +47,11 @@ impl CostModel {
 
 /// Contention counters maintained by one worker thread of a real-thread
 /// problem-heap back-end. Everything is counted locally (no shared-cache
-/// traffic) and merged after the threads join.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// traffic) and merged after the threads join. They are the one count of
+/// a threaded run: traces and metric pages are views of them (DESIGN.md
+/// §16), and the search's own node and ordering counts live in its
+/// `SearchStats`, not here.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ThreadCounters {
     /// Times the heap/tree mutex was acquired.
     pub lock_acquisitions: u64,
@@ -67,6 +71,9 @@ pub struct ThreadCounters {
     pub steal_hits: u64,
     /// Nanoseconds spent blocked waiting to acquire the heap mutex.
     pub lock_wait_nanos: u64,
+    /// The same waits one sample per acquisition: `count` equals
+    /// `lock_acquisitions` and `sum` equals `lock_wait_nanos`.
+    pub lock_waits: HistSnapshot,
     /// Nanoseconds the heap mutex was held by this thread.
     pub lock_hold_nanos: u64,
     /// Position handles published into the lock-free arena (`Arc` refcount
@@ -82,17 +89,6 @@ pub struct ThreadCounters {
     /// Jobs whose outcomes were discarded by the abort protocol (deadline,
     /// cancellation, or worker panic) instead of being applied.
     pub jobs_aborted: u64,
-    /// Widened re-searches performed inside this thread's serial-frontier
-    /// jobs (PVS null-window fail-highs, aspiration fail-outs).
-    pub re_searches: u64,
-    /// Serial-frontier beta cutoffs achieved by a current killer move.
-    pub killer_hits: u64,
-    /// Serial-frontier beta cutoffs achieved by a history-ranked move that
-    /// was not a killer.
-    pub history_hits: u64,
-    /// Depth-horizon leaves extended by the quiescence rule in this
-    /// thread's serial-frontier jobs.
-    pub q_extensions: u64,
 }
 
 impl ThreadCounters {
@@ -107,16 +103,13 @@ impl ThreadCounters {
         self.steal_attempts += other.steal_attempts;
         self.steal_hits += other.steal_hits;
         self.lock_wait_nanos += other.lock_wait_nanos;
+        self.lock_waits.merge(&other.lock_waits);
         self.lock_hold_nanos += other.lock_hold_nanos;
         self.arena_publishes += other.arena_publishes;
         self.pos_clones_in_lock += other.pos_clones_in_lock;
         self.batch_grows += other.batch_grows;
         self.batch_shrinks += other.batch_shrinks;
         self.jobs_aborted += other.jobs_aborted;
-        self.re_searches += other.re_searches;
-        self.killer_hits += other.killer_hits;
-        self.history_hits += other.history_hits;
-        self.q_extensions += other.q_extensions;
     }
 
     /// Mean jobs obtained per lock acquisition — the batching win the
@@ -172,14 +165,12 @@ impl ThreadCounters {
 impl std::fmt::Display for ThreadCounters {
     /// One-line contention summary used by the bench output, e.g.
     /// `acq/job 0.14 | steal 23/410 (5.6%) | park 7/wake 5 | aborted 0 |
-    /// wait 312ns/acq | hold 187ns/acq | batch +3/-1 | re-search 2 |
-    /// ord k4/h9 | qext 0`.
+    /// wait 312ns/acq | hold 187ns/acq | batch +3/-1`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "acq/job {:.3} | steal {}/{} ({:.1}%) | park {}/wake {} | aborted {} | \
-             wait {:.0}ns/acq | hold {:.0}ns/acq | batch +{}/-{} | re-search {} | \
-             ord k{}/h{} | qext {}",
+             wait {:.0}ns/acq | hold {:.0}ns/acq | batch +{}/-{}",
             self.acquisitions_per_job(),
             self.steal_hits,
             self.steal_attempts,
@@ -191,10 +182,6 @@ impl std::fmt::Display for ThreadCounters {
             self.mean_lock_hold_nanos(),
             self.batch_grows,
             self.batch_shrinks,
-            self.re_searches,
-            self.killer_hits,
-            self.history_hits,
-            self.q_extensions,
         )
     }
 }
@@ -298,6 +285,14 @@ mod tests {
         assert_eq!(r.starvation_ticks(), 0);
     }
 
+    fn waits(samples: &[u64]) -> HistSnapshot {
+        let mut h = HistSnapshot::default();
+        for &v in samples {
+            h.record(v);
+        }
+        h
+    }
+
     #[test]
     fn thread_counters_merge_and_ratio() {
         let mut a = ThreadCounters {
@@ -316,10 +311,7 @@ mod tests {
             batch_grows: 1,
             batch_shrinks: 0,
             jobs_aborted: 2,
-            re_searches: 4,
-            killer_hits: 6,
-            history_hits: 2,
-            q_extensions: 1,
+            lock_waits: waits(&[400, 600]),
         };
         let b = ThreadCounters {
             lock_acquisitions: 5,
@@ -337,10 +329,7 @@ mod tests {
             batch_grows: 0,
             batch_shrinks: 2,
             jobs_aborted: 1,
-            re_searches: 1,
-            killer_hits: 3,
-            history_hits: 5,
-            q_extensions: 0,
+            lock_waits: waits(&[500]),
         };
         a.merge(&b);
         assert_eq!(a.lock_acquisitions, 15);
@@ -355,10 +344,7 @@ mod tests {
         assert_eq!(a.batch_grows, 1);
         assert_eq!(a.batch_shrinks, 2);
         assert_eq!(a.jobs_aborted, 3);
-        assert_eq!(a.re_searches, 5);
-        assert_eq!(a.killer_hits, 9);
-        assert_eq!(a.history_hits, 7);
-        assert_eq!(a.q_extensions, 1);
+        assert_eq!(a.lock_waits, waits(&[400, 600, 500]));
         assert!((a.jobs_per_acquisition() - 50.0 / 15.0).abs() < 1e-12);
         assert!((a.acquisitions_per_job() - 15.0 / 50.0).abs() < 1e-12);
         assert!((a.steal_hit_rate() - 0.3).abs() < 1e-12);
@@ -396,9 +382,6 @@ mod tests {
         assert!(s.contains("wait 100ns/acq"), "got: {s}");
         assert!(s.contains("hold 250ns/acq"), "got: {s}");
         assert!(s.contains("batch +1/-2"), "got: {s}");
-        assert!(s.contains("re-search 0"), "got: {s}");
-        assert!(s.contains("ord k0/h0"), "got: {s}");
-        assert!(s.contains("qext 0"), "got: {s}");
     }
 
     #[test]
@@ -417,23 +400,17 @@ mod tests {
             idle_parks: 7,
             wakeups: 5,
             jobs_aborted: 3,
-            re_searches: 4,
-            killer_hits: 6,
-            history_hits: 2,
-            q_extensions: 1,
             ..ThreadCounters::default()
         };
         assert_eq!(
             format!("{c}"),
             "acq/job 0.250 | steal 2/8 (25.0%) | park 7/wake 5 | aborted 3 | \
-             wait 100ns/acq | hold 150ns/acq | batch +1/-2 | re-search 4 | \
-             ord k6/h2 | qext 1"
+             wait 100ns/acq | hold 150ns/acq | batch +1/-2"
         );
         assert_eq!(
             format!("{}", ThreadCounters::default()),
             "acq/job 0.000 | steal 0/0 (0.0%) | park 0/wake 0 | aborted 0 | \
-             wait 0ns/acq | hold 0ns/acq | batch +0/-0 | re-search 0 | \
-             ord k0/h0 | qext 0"
+             wait 0ns/acq | hold 0ns/acq | batch +0/-0"
         );
     }
 

@@ -1,8 +1,7 @@
 //! The hook bundle every search entry point takes (DESIGN.md §16).
 //!
-//! A search can carry five optional handles: a transposition table, a
-//! control token, a tracer, shared move-ordering tables and a metrics set.
-//! Each is a zero-cost handle whose `()` value means "off": every call
+//! A search can carry four optional handles: a transposition table, a
+//! control token, a tracer and shared move-ordering tables. Each is a zero-cost handle whose `()` value means "off": every call
 //! through it compiles away, so an all-`()` [`Hooks`] monomorphizes to the
 //! bare search. One bundle replaces one public twin per combination of
 //! handles — each algorithm has a single hooked entry
@@ -39,14 +38,14 @@ use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
 /// | `ctl`     | `()` | `&SearchControl` (or a `&CtlProbe`)  |
 /// | `tracer`  | `()` | `&Tracer`                            |
 /// | `ord`     | `()` | `&OrderingTables`                    |
-/// | `metrics` | `()` | `&EngineMetrics`                     |
 ///
-/// An entry point accepts only the handles its back-end uses: the serial
-/// searches take no metrics, negamax takes no ordering tables, and the
-/// simulator takes only a table and ordering tables. Attaching another
-/// handle is a type error, not a silent no-op.
+/// An entry point accepts only the handles its back-end uses: negamax
+/// takes no ordering tables, and the simulator takes only a table and
+/// ordering tables. Attaching another handle is a type error, not a
+/// silent no-op. Metric sets are not handles: their owners fold a run's
+/// counters in after it returns.
 #[derive(Clone, Copy, Debug)]
-pub struct Hooks<T = (), C = (), R = (), O = (), M = ()> {
+pub struct Hooks<T = (), C = (), R = (), O = ()> {
     /// Transposition table ([`TtAccess`]).
     pub tt: T,
     /// Abort control ([`CtlHook`]).
@@ -55,8 +54,6 @@ pub struct Hooks<T = (), C = (), R = (), O = (), M = ()> {
     pub tracer: R,
     /// Shared killer/history tables ([`OrdAccess`](crate::OrdAccess)).
     pub ord: O,
-    /// Live metrics (`metrics::MetricsAccess`).
-    pub metrics: M,
 }
 
 /// Every handle off. The impl is for the all-`()` bundle only, so
@@ -68,64 +65,48 @@ impl Default for Hooks {
             ctl: (),
             tracer: (),
             ord: (),
-            metrics: (),
         }
     }
 }
 
-impl<T, C, R, O, M> Hooks<T, C, R, O, M> {
+impl<T, C, R, O> Hooks<T, C, R, O> {
     /// Replaces the table handle.
-    pub fn with_tt<T2>(self, tt: T2) -> Hooks<T2, C, R, O, M> {
+    pub fn with_tt<T2>(self, tt: T2) -> Hooks<T2, C, R, O> {
         Hooks {
             tt,
             ctl: self.ctl,
             tracer: self.tracer,
             ord: self.ord,
-            metrics: self.metrics,
         }
     }
 
     /// Replaces the control handle.
-    pub fn with_ctl<C2>(self, ctl: C2) -> Hooks<T, C2, R, O, M> {
+    pub fn with_ctl<C2>(self, ctl: C2) -> Hooks<T, C2, R, O> {
         Hooks {
             tt: self.tt,
             ctl,
             tracer: self.tracer,
             ord: self.ord,
-            metrics: self.metrics,
         }
     }
 
     /// Replaces the tracer handle.
-    pub fn with_tracer<R2>(self, tracer: R2) -> Hooks<T, C, R2, O, M> {
+    pub fn with_tracer<R2>(self, tracer: R2) -> Hooks<T, C, R2, O> {
         Hooks {
             tt: self.tt,
             ctl: self.ctl,
             tracer,
             ord: self.ord,
-            metrics: self.metrics,
         }
     }
 
     /// Replaces the ordering-tables handle.
-    pub fn with_ord<O2>(self, ord: O2) -> Hooks<T, C, R, O2, M> {
+    pub fn with_ord<O2>(self, ord: O2) -> Hooks<T, C, R, O2> {
         Hooks {
             tt: self.tt,
             ctl: self.ctl,
             tracer: self.tracer,
             ord,
-            metrics: self.metrics,
-        }
-    }
-
-    /// Replaces the metrics handle.
-    pub fn with_metrics<M2>(self, metrics: M2) -> Hooks<T, C, R, O, M2> {
-        Hooks {
-            tt: self.tt,
-            ctl: self.ctl,
-            tracer: self.tracer,
-            ord: self.ord,
-            metrics,
         }
     }
 }
@@ -201,11 +182,11 @@ mod tests {
     #[test]
     fn setters_replace_one_field_each() {
         let ctl = SearchControl::unlimited();
-        let h = Hooks::default().with_ctl(&ctl).with_metrics(7u8);
+        let h = Hooks::default().with_ctl(&ctl).with_ord(7u8);
         assert!(std::ptr::eq(h.ctl, &ctl));
-        assert_eq!(h.metrics, 7);
-        let h = h.with_tt(1u8).with_tracer(2u8).with_ord(3u8);
-        assert_eq!((h.tt, h.tracer, h.ord, h.metrics), (1, 2, 3, 7));
+        assert_eq!(h.ord, 7);
+        let h = h.with_tt(1u8).with_tracer(2u8);
+        assert_eq!((h.tt, h.tracer, h.ord), (1, 2, 7));
     }
 
     #[test]

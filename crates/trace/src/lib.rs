@@ -53,7 +53,7 @@ mod tt_wrap;
 
 pub use chrome::{chrome_json, chrome_json_sessions};
 pub use event::{job_label, EventKind, TraceEvent, JOB_ARG_SEARCH, KIND_COUNT};
-pub use report::{LogHistogram, QueueDepthStats, SearchReport, SpecSplit, WorkerReport};
+pub use report::{QueueDepthStats, SearchReport, SpecSplit, WorkerReport};
 pub use ring::EventRing;
 pub use tracer::{
     RowData, TraceAccess, TraceData, Tracer, WorkerTrace, WorkerTracer, AMORTIZE_PERIOD,

@@ -4,59 +4,10 @@
 //! caller, which owns the classification machinery) the mandatory vs
 //! speculative work split per processor count.
 
+use metrics::HistSnapshot;
+
 use crate::event::{EventKind, TraceEvent, KIND_COUNT};
 use crate::tracer::TraceData;
-
-/// A base-2 logarithmic histogram of nanosecond durations: bucket `i`
-/// counts values in `[2^i, 2^(i+1))` (bucket 0 also takes zero).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LogHistogram {
-    /// Counts per power-of-two bucket.
-    pub buckets: [u64; 32],
-    /// Total samples recorded.
-    pub count: u64,
-    /// Sum of all samples (nanoseconds).
-    pub total_ns: u64,
-    /// Largest sample (nanoseconds).
-    pub max_ns: u64,
-}
-
-impl LogHistogram {
-    /// Records one duration.
-    pub fn record(&mut self, ns: u64) {
-        let idx = (64 - u64::leading_zeros(ns | 1) - 1).min(31) as usize;
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total_ns += ns;
-        self.max_ns = self.max_ns.max(ns);
-    }
-
-    /// Mean sample in nanoseconds (0.0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-
-    /// The smallest bucket upper bound covering at least `q` of the mass —
-    /// a coarse quantile (`q` in `[0, 1]`).
-    pub fn quantile_bound_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return 1u64 << (i + 1);
-            }
-        }
-        u64::MAX
-    }
-}
 
 /// Utilization summary for one worker row.
 #[derive(Clone, Copy, Debug, Default)]
@@ -132,10 +83,10 @@ pub struct SearchReport {
     pub counts: [u64; KIND_COUNT],
     /// Total events lost to ring overwrite.
     pub dropped: u64,
-    /// Distribution of lock-wait span durations.
-    pub lock_wait: LogHistogram,
-    /// Distribution of lock-hold span durations.
-    pub lock_hold: LogHistogram,
+    /// Distribution of lock-wait span durations (nanoseconds).
+    pub lock_wait: HistSnapshot,
+    /// Distribution of lock-hold span durations (nanoseconds).
+    pub lock_hold: HistSnapshot,
     /// Queue-depth samples.
     pub queue_depth: QueueDepthStats,
     /// Mandatory/speculative split per processor count; filled by the
@@ -245,32 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = LogHistogram::default();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        assert_eq!(h.buckets[0], 2, "0 and 1 share the first bucket");
-        assert_eq!(h.buckets[1], 2, "2 and 3");
-        assert_eq!(h.buckets[10], 1, "1024");
-        assert_eq!(h.count, 5);
-        assert_eq!(h.max_ns, 1024);
-        assert!((h.mean_ns() - 206.0).abs() < 1e-9);
-        assert!(h.quantile_bound_ns(0.5) <= 4);
-        assert!(h.quantile_bound_ns(1.0) >= 1024);
-        assert_eq!(LogHistogram::default().quantile_bound_ns(0.5), 0);
-    }
-
-    #[test]
-    fn histogram_saturates_top_bucket() {
-        let mut h = LogHistogram::default();
-        h.record(u64::MAX);
-        assert_eq!(h.buckets[31], 1);
-    }
-
-    #[test]
     fn report_aggregates_synthetic_rows() {
         let data = TraceData {
             workers: vec![(
@@ -308,6 +233,7 @@ mod tests {
         assert_eq!(r.count_of(EventKind::IdDepthStart), 1);
         assert_eq!(r.lock_wait.count, 1);
         assert_eq!(r.lock_hold.count, 1);
+        assert_eq!((r.lock_wait.sum, r.lock_hold.max), (100, 50));
         assert_eq!(r.queue_depth.samples, 1);
         assert_eq!(r.queue_depth.max, 6);
         assert!((r.queue_depth.mean - 6.0).abs() < 1e-12);

@@ -4,25 +4,23 @@
 //! * Values must equal negamax in every row.
 //! * On the deterministic back-ends — serial, the simulator, and threads
 //!   at one thread (speculation off and on, and the deepening driver) —
-//!   the work counters with the control, tracer or metrics hook on must
-//!   equal the hooks-off run exactly: those hooks observe, they never
-//!   steer. The table and ordering hooks may change node counts (that is
+//!   the work counters with the control or tracer hook on must equal the
+//!   hooks-off run exactly: those hooks observe, they never steer. The table and ordering hooks may change node counts (that is
 //!   their point), never values.
 //! * Each attached hook must show it was used: table probes and stores
 //!   (and, for threaded runs, a table report equal to the run's delta),
 //!   one whole-search span per serial search, one timeline row per worker,
-//!   one driver-row start/finish pair per deepening depth, metrics folded
-//!   per threaded search.
+//!   one driver-row start/finish pair per deepening depth.
 //!
 //! An entry point takes only the hooks its back-end uses (negamax takes no
 //! ordering tables, the simulator only a table and ordering tables, the
-//! deepening driver no metrics and no ordering tables: it owns those
-//! through `AspirationConfig`),
-//! so its rows cover exactly those sets; attaching another is a type
-//! error.
+//! deepening driver no ordering tables: it owns those through
+//! `AspirationConfig`), so its rows cover exactly those sets; attaching
+//! another is a type error. A metric set is not a hook: its owner folds a
+//! threaded run's counters in after the run returns, which er-parallel's
+//! `metrics_fold` test checks.
 
 use er_search::prelude::*;
-use metrics::EngineMetrics;
 use search_serial::{er_eval_refute_with, er_refute_rest_with};
 
 /// The hook sets of the matrix.
@@ -33,7 +31,6 @@ enum Set {
     Ctl,
     Tracer,
     Ord,
-    Metrics,
     All,
 }
 
@@ -43,7 +40,6 @@ struct State {
     ctl: SearchControl,
     tracer: Tracer,
     ord: OrderingTables,
-    metrics: EngineMetrics,
 }
 
 impl State {
@@ -53,7 +49,6 @@ impl State {
             ctl: SearchControl::unlimited(),
             tracer: Tracer::new(),
             ord: OrderingTables::new(),
-            metrics: EngineMetrics::new(1),
         }
     }
 }
@@ -161,7 +156,7 @@ fn check(
     let exact = !matches!(kind, Kind::Threads { exact: false, .. });
     match set {
         Set::Off => *off = Some(out.work.clone()),
-        Set::Ctl | Set::Tracer | Set::Metrics if exact => {
+        Set::Ctl | Set::Tracer if exact => {
             let base = off.as_ref().expect("the off row runs first");
             assert_eq!(&out.work, base, "{row}: work must equal the off row");
         }
@@ -181,9 +176,7 @@ fn check(
             None => assert!(!with_tt, "{row}: table attached, no report"),
         }
     }
-    // "All" is every hook the entry takes: the simulator takes no tracer,
-    // only the hooked threaded entry takes metrics.
-    let metered = matches!(kind, Kind::Threads { .. });
+    // "All" is every hook the entry takes: the simulator takes no tracer.
     if set == Set::Tracer || (set == Set::All && kind != Kind::Sim) {
         let data = st.tracer.snapshot();
         let c = data.counts();
@@ -215,10 +208,6 @@ fn check(
                 "{row}: rings retain at most what the table counted"
             );
         }
-    }
-    if set == Set::Metrics || (set == Set::All && metered) {
-        let runs = st.metrics.search_runs_total.value();
-        assert!(runs > 0, "{row}: metrics folded");
     }
 }
 
@@ -306,13 +295,11 @@ fn run_matrix<P: GamePosition + Zobrist + Sync>(root: &P, depth: u32, order: Ord
             Ctl: Hooks::default().with_ctl(&st.ctl),
             Tracer: Hooks::default().with_tracer(&st.tracer),
             Ord: Hooks::default().with_ord(&st.ord),
-            Metrics: Hooks::default().with_metrics(&st.metrics),
             All: Hooks::default()
                 .with_tt(&st.table)
                 .with_ctl(&st.ctl)
                 .with_tracer(&st.tracer)
-                .with_ord(&st.ord)
-                .with_metrics(&st.metrics),
+                .with_ord(&st.ord),
         );
     }
 
