@@ -43,12 +43,12 @@
 //!                   sets, root-value equality across every search
 //!                   back-end, and a linted traced run (accepts
 //!                   --threads 1,2,4)
-//! repro obs         observability gates: metrics-on vs metrics-off
-//!                   byte-identical root values and node counts, <=2%
-//!                   nodes/sec overhead (best-of-N interleaved trials),
-//!                   and a mixed serve+match workload whose periodic
-//!                   exposition snapshots all pass the format linter
-//!                   (accepts --trials 5, --sessions 16, --games 2,
+//! repro obs         observability gates: at one thread, metrics-on vs
+//!                   metrics-off identical root values, search stats and
+//!                   untimed counters, folded series equal to the run's
+//!                   own counters, and a mixed serve+match workload whose
+//!                   periodic exposition snapshots all pass the format
+//!                   linter (accepts --sessions 16, --games 2,
 //!                   --threads 2; also writes results/obs_metrics.prom)
 //! repro match       repeated-game engine loop: full self-play games in
 //!                   both families (warm TT + ordering state across
@@ -1453,19 +1453,18 @@ fn match_pairing_row(r: &match_harness::MatchResult) -> MatchPairingRow {
 
 fn obs() {
     let mut cli = er_bench::cli::Cli::from_env("obs");
-    let trials = cli.count("--trials", 5, 1..=64) as usize;
     let sessions = cli.count("--sessions", 16, 1..=4096) as usize;
     let games = cli.count("--games", 2, 2..=64) as usize;
     let threads = cli.count("--threads", 2, 1..=64) as usize;
     cli.finish();
 
     println!(
-        "\n=== Observability gates: {} probe trees x {trials} interleaved \
-         trials, then {sessions} sessions + {games} games observed ===",
+        "\n=== Observability gates: {} probe trees, then {sessions} sessions \
+         + {games} games observed ===",
         er_bench::obs::PROBE_SEEDS
     );
     let (bench, page) =
-        er_bench::obs::obs_bench(trials, sessions, games, threads, er_bench::obs::PROBE_DEPTH);
+        er_bench::obs::obs_bench(sessions, games, threads, er_bench::obs::PROBE_DEPTH);
 
     println!(
         "{:<6} {:>10} {:>10} {:>10} {:>10}",
@@ -1478,16 +1477,8 @@ fn obs() {
         );
     }
     println!(
-        "identity gate: {} probes byte-identical off vs on",
+        "identity gate: {} probes identical off vs on, folds exact",
         bench.probes.len()
-    );
-    println!(
-        "overhead gate: off {:.0} nodes/s, on {:.0} nodes/s ({:+.2}% — \
-         ceiling {:.0}%)",
-        bench.off_nps,
-        bench.on_nps,
-        100.0 * bench.overhead_fraction,
-        100.0 * bench.max_overhead_fraction
     );
     println!(
         "mixed workload: {}/{} sessions completed, {} lint-clean snapshots, \

@@ -1,47 +1,34 @@
 //! The `repro obs` experiment: the observability acceptance gates.
 //!
-//! PR-level claim under test: attaching the metrics registry to the
-//! engine is *free where it matters and cheap where it records*. Two
-//! gates are asserted, not just reported, every time this runs:
+//! Claim under test: a metric set observes the engine and never steers
+//! it. A metric set never reaches the search: its owner folds the run's
+//! own counters in after the run returns (`er_parallel::record_run`). The
+//! identity gate checks that exactly, at one thread, where a run repeats
+//! its schedule to the node: a run folded into a metric set must equal an
+//! unfolded run of the same tree in root value, `SearchStats` and every
+//! untimed `ThreadCounters` field, and the folded series must equal the
+//! run's own counters.
 //!
-//! 1. **Transparency** — a metrics-on search returns byte-identical
-//!    root values to a metrics-off search of the same tree, and (at one
-//!    thread, where scheduling cannot reorder work) an identical node
-//!    count. A metric set never reaches the search: the run's own
-//!    counters are folded in after it returns (`er_parallel::record_run`),
-//!    and this gate checks the fold changes nothing but the recording.
-//! 2. **Overhead** — best-of-N interleaved trials over a fixed probe
-//!    set: metrics-on throughput (nodes/sec) must stay within
-//!    [`MAX_OVERHEAD_FRACTION`] of metrics-off. Interleaving off/on
-//!    inside each trial and taking the per-config minimum squeezes out
-//!    machine noise the way the mech microbench does.
-//!
-//! On top of the gates, a mixed serve + match workload records into one
+//! On top of the gate, a mixed serve + match workload records into one
 //! shared [`EngineMetrics`] — the scheduler's periodic exposition
 //! snapshots and the final page must all pass `metrics::lint::check`
 //! before anything is written to disk.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use engine_server::AnyPos;
-use er_parallel::{record_run, run_er_threads_with, ErParallelConfig, Hooks};
+use er_parallel::{record_run, run_er_threads_with, ErParallelConfig, ErThreadsResult, Hooks};
 use gametree::Window;
 use match_harness::{run_match_with, EngineSpec, Family, MatchConfig};
 use metrics::EngineMetrics;
+use problem_heap::ThreadCounters;
 
 use crate::json::impl_to_json;
 
-/// Hard ceiling on the throughput cost of metrics-on recording: the on
-/// configuration must deliver at least `1 - this` of the off nodes/sec.
-/// Enforced in optimized builds; debug builds (the unit tests) assert
-/// only a gross sanity bound, since unoptimized timing noise swamps a
-/// 2% margin on millisecond probes.
-pub const MAX_OVERHEAD_FRACTION: f64 = 0.02;
-/// Probe searches per trial (random-tree seeds `0..PROBE_SEEDS`).
+/// Probe searches of the identity gate (random-tree seeds
+/// `0..PROBE_SEEDS`).
 pub const PROBE_SEEDS: u64 = 4;
-/// Depth of every `repro obs` probe search: deep enough that one trial
-/// runs tens of milliseconds, so the min-of-trials timing is stable.
+/// Depth of every `repro obs` probe search.
 pub const PROBE_DEPTH: u32 = 10;
 
 /// One probe tree's off-vs-on identity evidence.
@@ -68,22 +55,12 @@ impl_to_json!(ObsProbe {
 
 /// The full `repro obs` report.
 pub struct ObsBench {
-    /// Interleaved off/on timing trials.
-    pub trials: usize,
     /// Probe depth.
     pub probe_depth: u32,
-    /// Probe count per trial.
+    /// Probe count.
     pub probe_seeds: u64,
     /// Per-tree identity evidence.
     pub probes: Vec<ObsProbe>,
-    /// Best-trial metrics-off throughput over the probe set.
-    pub off_nps: f64,
-    /// Best-trial metrics-on throughput.
-    pub on_nps: f64,
-    /// `1 - on/off` (negative when on happened to win the coin flip).
-    pub overhead_fraction: f64,
-    /// The asserted ceiling, echoed for the report.
-    pub max_overhead_fraction: f64,
     /// Sessions offered to the observed scheduler.
     pub serve_sessions: usize,
     /// Sessions that completed across both waves.
@@ -103,14 +80,9 @@ pub struct ObsBench {
 }
 
 impl_to_json!(ObsBench {
-    trials,
     probe_depth,
     probe_seeds,
     probes,
-    off_nps,
-    on_nps,
-    overhead_fraction,
-    max_overhead_fraction,
     serve_sessions,
     serve_completed,
     serve_snapshots,
@@ -121,109 +93,88 @@ impl_to_json!(ObsBench {
     exposition_lines
 });
 
-/// One probe search at one thread, timed, in the paper's configuration
-/// (speculation on), folded into `mx` when one is given. A one-thread run
-/// takes a fixed batch, so its schedule — speculative selection included
-/// — is reproducible to the node, and the identity gate can demand equal
-/// node counts.
-fn probe(pos: &AnyPos, depth: u32, mx: Option<&EngineMetrics>) -> (i32, u64, Duration) {
+/// One probe search at one thread in the paper's configuration
+/// (speculation on). A one-thread run takes a fixed batch, so its schedule
+/// — speculative selection included — is reproducible to the node.
+fn probe(pos: &AnyPos, depth: u32, mx: Option<&EngineMetrics>) -> ErThreadsResult {
     let cfg = ErParallelConfig::random_tree(3);
-    let t0 = Instant::now();
     let run = run_er_threads_with(pos, depth, Window::FULL, 1, &cfg, Hooks::default());
     if let Some(m) = mx {
         record_run(m, &run);
     }
-    let r = run.expect("an unlimited probe search cannot abort");
-    (r.value.get(), r.stats.nodes(), t0.elapsed())
+    run.expect("an unlimited probe search cannot abort")
 }
 
-/// The identity + overhead gates: interleaved off/on trials over the
-/// probe set, panicking when either gate fails.
-fn overhead_gate(trials: usize, depth: u32) -> (Vec<ObsProbe>, f64, f64) {
-    let m = EngineMetrics::new(1);
-    let roots: Vec<AnyPos> = (0..PROBE_SEEDS)
-        .map(|s| AnyPos::random_root(s, 4, depth))
-        .collect();
-    // Warm the allocator and caches outside the timed region.
-    for pos in &roots {
-        probe(pos, depth, None);
+/// The counters the schedule alone decides: the timed fields (lock wait
+/// and hold nanoseconds, the wait histogram) cleared.
+fn untimed(c: ThreadCounters) -> ThreadCounters {
+    ThreadCounters {
+        lock_wait_nanos: 0,
+        lock_hold_nanos: 0,
+        lock_waits: Default::default(),
+        ..c
     }
-    let mut probes: Vec<ObsProbe> = Vec::new();
-    let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
-    let mut total_nodes = 0u64;
-    // The 2% gate is a statement about optimized code; under debug
-    // codegen the probes run ~10x slower and a fixed-work timing margin
-    // that tight is pure noise, so the unit tests get a sanity bound.
-    let ceiling = if cfg!(debug_assertions) {
-        0.60
-    } else {
-        MAX_OVERHEAD_FRACTION
-    };
-    let nps = |total: u64, d: Duration| total as f64 / d.as_secs_f64().max(1e-9);
-    // A transient load spike (a background build, a sibling test) can
-    // slow whichever configuration it happens to land on by more than
-    // the gate's margin. The per-config minimum only improves with more
-    // samples, so rather than flake, keep taking interleaved trials —
-    // up to 4x the requested count — until the gate holds, then judge.
-    let min_trials = trials.max(1);
-    let mut passed = false;
-    for trial in 0..min_trials * 4 {
-        let (mut d_off, mut d_on) = (Duration::ZERO, Duration::ZERO);
-        for (i, pos) in roots.iter().enumerate() {
-            let (v_off, n_off, e_off) = probe(pos, depth, None);
-            let (v_on, n_on, e_on) = probe(pos, depth, Some(&m));
-            d_off += e_off;
-            d_on += e_on;
-            if trial == 0 {
-                total_nodes += n_off;
-                probes.push(ObsProbe {
-                    seed: i as u64,
-                    value_off: v_off,
-                    value_on: v_on,
-                    nodes_off: n_off,
-                    nodes_on: n_on,
-                });
-            }
-            // The transparency gate, every trial: metrics must observe
-            // the search, never steer it.
-            assert_eq!(v_off, v_on, "seed {i}: metrics-on changed the root value");
+}
+
+/// The identity gate over the probe set, panicking on any difference.
+fn identity_gate(depth: u32) -> Vec<ObsProbe> {
+    (0..PROBE_SEEDS)
+        .map(|seed| {
+            let pos = AnyPos::random_root(seed, 4, depth);
+            let off = probe(&pos, depth, None);
+            let m = EngineMetrics::new(1);
+            let on = probe(&pos, depth, Some(&m));
             assert_eq!(
-                n_off, n_on,
-                "seed {i}: metrics-on changed the 1-thread node count"
+                off.value, on.value,
+                "seed {seed}: metrics-on changed the root value"
             );
-        }
-        best_off = best_off.min(d_off);
-        best_on = best_on.min(d_on);
-        if trial + 1 >= min_trials
-            && nps(total_nodes, best_on) >= nps(total_nodes, best_off) * (1.0 - ceiling)
-        {
-            passed = true;
-            break;
-        }
-    }
-    let (off_nps, on_nps) = (nps(total_nodes, best_off), nps(total_nodes, best_on));
-    assert!(
-        passed,
-        "metrics-on throughput {on_nps:.0} nodes/s stayed more than \
-         {:.0}% below metrics-off {off_nps:.0} across {} trials",
-        100.0 * ceiling,
-        min_trials * 4
-    );
-    (probes, off_nps, on_nps)
+            assert_eq!(
+                off.stats, on.stats,
+                "seed {seed}: metrics-on changed the search stats"
+            );
+            let total = on.counters();
+            assert_eq!(
+                untimed(off.counters()),
+                untimed(total.clone()),
+                "seed {seed}: metrics-on changed the one-thread schedule"
+            );
+            assert_eq!(
+                [
+                    m.search_nodes_total.value(),
+                    m.search_jobs_total.value(),
+                    m.steal_attempts_total.value(),
+                    m.steal_hits_total.value(),
+                ],
+                [
+                    on.stats.nodes(),
+                    total.jobs_executed,
+                    total.steal_attempts,
+                    total.steal_hits,
+                ],
+                "seed {seed}: folded nodes, jobs and steals differ from the run's own"
+            );
+            ObsProbe {
+                seed,
+                value_off: off.value.get(),
+                value_on: on.value.get(),
+                nodes_off: off.stats.nodes(),
+                nodes_on: on.stats.nodes(),
+            }
+        })
+        .collect()
 }
 
-/// Runs the gates plus the observed mixed workload. Returns the report
-/// and the final exposition page (already lint-checked). `probe_depth`
-/// is [`PROBE_DEPTH`] for the real experiment; the unit tests pass a
-/// shallower tree.
+/// Runs the identity gate plus the observed mixed workload. Returns the
+/// report and the final exposition page (already lint-checked).
+/// `probe_depth` is [`PROBE_DEPTH`] for the real experiment; the unit
+/// tests pass a shallower tree.
 pub fn obs_bench(
-    trials: usize,
     sessions: usize,
     games: usize,
     threads: usize,
     probe_depth: u32,
 ) -> (ObsBench, String) {
-    let (probes, off_nps, on_nps) = overhead_gate(trials, probe_depth);
+    let probes = identity_gate(probe_depth);
 
     // One shared registry observes the whole mixed workload: a serve
     // wave with periodic snapshots, then a short self-play match whose
@@ -260,14 +211,9 @@ pub fn obs_bench(
     metrics::lint::check(&page).expect("final exposition page must lint clean");
 
     let bench = ObsBench {
-        trials: trials.max(1),
         probe_depth,
         probe_seeds: PROBE_SEEDS,
         probes,
-        off_nps,
-        on_nps,
-        overhead_fraction: 1.0 - on_nps / off_nps,
-        max_overhead_fraction: MAX_OVERHEAD_FRACTION,
         serve_sessions: sessions,
         serve_completed: serve.completed,
         serve_snapshots: snapshots.len(),
@@ -286,7 +232,7 @@ mod tests {
 
     #[test]
     fn gates_hold_on_a_short_run() {
-        let (b, page) = obs_bench(2, 8, 2, 1, 7);
+        let (b, page) = obs_bench(8, 2, 1, 7);
         assert_eq!(b.probes.len(), PROBE_SEEDS as usize);
         for p in &b.probes {
             assert_eq!(p.value_off, p.value_on);

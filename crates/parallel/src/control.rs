@@ -37,11 +37,7 @@ pub struct SearchAborted {
 impl SearchAborted {
     /// All workers' counters merged.
     pub fn total_counters(&self) -> ThreadCounters {
-        let mut total = ThreadCounters::default();
-        for c in &self.counters {
-            total.merge(c);
-        }
-        total
+        self.counters.iter().sum()
     }
 }
 

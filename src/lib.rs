@@ -65,7 +65,6 @@
 //! let thr = run_er_threads(&root, 8, 4, &cfg);
 //! assert_eq!(thr.value, ab.value);
 //! assert_eq!(thr.counters().jobs_executed, thr.counters().outcomes_applied);
-//! assert_eq!(thr.counters().pos_clones_in_lock, 0);
 //! let (a, b) = (run_er_threads(&root, 8, 1, &cfg), run_er_threads(&root, 8, 1, &cfg));
 //! assert_eq!(a.stats, b.stats);
 //!

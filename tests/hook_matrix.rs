@@ -19,9 +19,17 @@
 //! another is a type error. A metric set is not a hook: its owner folds a
 //! threaded run's counters in after the run returns, which er-parallel's
 //! `metrics_fold` test checks.
+//!
+//! A last case keeps one table warm across many searches and windows and
+//! checks every bound serial ER stores against alpha-beta: a wrong entry
+//! only shows in a value once a later search probes it.
+
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 use er_search::prelude::*;
 use search_serial::{er_eval_refute_with, er_refute_rest_with};
+use tt::{Probe, TtAccess};
 
 /// The hook sets of the matrix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -331,4 +339,95 @@ fn hook_matrix_on_a_random_tree() {
 #[test]
 fn hook_matrix_on_othello() {
     run_matrix(&othello::configs::o1(), 4, OrderPolicy::OTHELLO);
+}
+
+/// A table handle that checks each store against alpha-beta at the stored
+/// depth (memoized per position and depth) before forwarding it.
+#[derive(Clone, Copy)]
+struct Audited<'a> {
+    table: &'a TranspositionTable,
+    exact: &'a RefCell<HashMap<(u64, u32), Value>>,
+    wrong: &'a RefCell<Vec<String>>,
+}
+
+impl TtAccess<OthelloPos> for Audited<'_> {
+    fn probe(self, pos: &OthelloPos) -> Option<Probe> {
+        self.table.probe(pos.zobrist())
+    }
+
+    fn store(self, pos: &OthelloPos, depth: u32, value: Value, bound: Bound, hint: Option<u16>) {
+        let key = (pos.zobrist(), depth);
+        let exact = *self
+            .exact
+            .borrow_mut()
+            .entry(key)
+            .or_insert_with(|| alphabeta(pos, depth, OrderPolicy::NATURAL).value);
+        let proven = match bound {
+            Bound::Exact => value == exact,
+            Bound::Lower => exact >= value,
+            Bound::Upper => exact <= value,
+        };
+        if !proven {
+            let msg = format!("depth {depth}: {bound:?} {value:?}, alpha-beta {exact:?}");
+            self.wrong.borrow_mut().push(msg);
+        }
+        self.table.store(pos.zobrist(), depth, value, bound, hint);
+    }
+
+    fn note_hint_used(self) {
+        self.table.note_hint_used();
+    }
+}
+
+/// A reproducible random playout from the initial position.
+fn othello_playout(seed: u64, plies: u32) -> OthelloPos {
+    let mut pos = OthelloPos::initial();
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+    for _ in 0..plies {
+        let kids = pos.children();
+        if kids.is_empty() {
+            break;
+        }
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        pos = kids[(state >> 33) as usize % kids.len()];
+    }
+    pos
+}
+
+#[test]
+fn warm_table_many_windows_store_only_proven_bounds() {
+    const DEPTH: u32 = 4;
+    let table = TranspositionTable::with_bits(20);
+    let (exact, wrong) = (RefCell::default(), RefCell::default());
+    let tt = Audited {
+        table: &table,
+        exact: &exact,
+        wrong: &wrong,
+    };
+    let hooks = Hooks::default().with_tt(tt);
+    for seed in 0..6 {
+        let root = othello_playout(seed, 10 + seed as u32);
+        let v = alphabeta(&root, DEPTH, OrderPolicy::NATURAL).value.get();
+        let at = |d: i32| Value::new(v + d);
+        // Null windows on and around the root value, then wider ones:
+        // each search probes the entries the previous ones left behind.
+        for d in -6..=6 {
+            for w in [
+                Window::new(at(d - 1), at(d)),
+                Window::new(at(4 * d - 8), at(4 * d + 8)),
+            ] {
+                er_search_with(&root, DEPTH, w, ErConfig::OTHELLO, 0, hooks);
+                er_eval_refute_with(&root, DEPTH, w, ErConfig::OTHELLO, 0, hooks);
+            }
+        }
+    }
+    let wrong = wrong.into_inner();
+    assert!(
+        wrong.is_empty(),
+        "{} stored bounds alpha-beta refutes, first: {}",
+        wrong.len(),
+        wrong[0]
+    );
 }

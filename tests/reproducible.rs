@@ -8,6 +8,12 @@
 //! primary queue is empty has nothing in flight, so the search is over.
 //! Early choice and multiple e-nodes therefore change nothing at one
 //! thread — not the value, the node counts, nor how the lock was used.
+//!
+//! Agreement between runs of one build says nothing about a change to the
+//! schedule itself, so the one-thread fingerprints are also pinned to
+//! golden constants: a refactor of the worker loop must leave them exact.
+//! With a table the node count also depends on which bounds the serial
+//! frontier stores.
 
 use er_bench::experiments::REFUTATION_ONLY;
 use er_bench::trees::{checkers_tree, othello_trees, random_trees, TreeSpec};
@@ -57,8 +63,14 @@ fn one_thread_run<P: GamePosition + Zobrist>(
     )
 }
 
-fn assert_reproducible<P: GamePosition + Zobrist>(tree: &TreeSpec<P>) {
-    for with_table in [false, true] {
+/// The pinned part of a fingerprint: root value, nodes, lock acquisitions
+/// and jobs executed.
+type Golden = (i32, u64, u64, u64);
+
+/// Five one-thread runs without a table, then five with a fresh one each,
+/// must repeat exactly and match `golden` (without, with a table).
+fn assert_reproducible<P: GamePosition + Zobrist>(tree: &TreeSpec<P>, golden: [Golden; 2]) {
+    for (with_table, want) in [false, true].into_iter().zip(golden) {
         let runs: Vec<Fingerprint> = (0..RUNS)
             .map(|_| {
                 // A fresh table per run: a warm one would answer the second
@@ -72,22 +84,38 @@ fn assert_reproducible<P: GamePosition + Zobrist>(tree: &TreeSpec<P>) {
             "{} (table {with_table}): one-thread runs differ: {runs:#?}",
             tree.name
         );
+        let (value, stats, _, locks, jobs) = runs[0];
+        assert_eq!(
+            (value.get(), stats.nodes(), locks, jobs),
+            want,
+            "{} (table {with_table}): the one-thread schedule moved",
+            tree.name
+        );
     }
 }
 
 #[test]
 fn one_thread_runs_repeat_exactly_on_r1() {
-    assert_reproducible(&random_trees()[0]);
+    assert_reproducible(
+        &random_trees()[0],
+        [(-4422, 86_908, 119, 327), (-4422, 86_908, 119, 327)],
+    );
 }
 
 #[test]
 fn one_thread_runs_repeat_exactly_on_o1() {
-    assert_reproducible(&othello_trees()[0]);
+    assert_reproducible(
+        &othello_trees()[0],
+        [(7, 80_672, 230, 1285), (7, 73_589, 230, 1285)],
+    );
 }
 
 #[test]
 fn one_thread_runs_repeat_exactly_on_c1() {
-    assert_reproducible(&checkers_tree());
+    assert_reproducible(
+        &checkers_tree(),
+        [(2, 99_298, 157, 753), (2, 58_502, 157, 753)],
+    );
 }
 
 fn assert_no_speculation_at_one_thread<P: GamePosition + Zobrist>(tree: &TreeSpec<P>) {
