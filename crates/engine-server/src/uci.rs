@@ -233,22 +233,36 @@ fn finish(running: &mut Option<Running<'_>>, cancel: bool) -> std::io::Result<()
     Ok(())
 }
 
+/// The widest random tree `position random` accepts: move indices are
+/// 16-bit natural indices, and every move list is allocated whole.
+const MAX_RANDOM_DEGREE: u32 = 1 << 16;
+
 /// Parses everything after `position`, returning the position and the
 /// number of plies played from the start position (the clock-side parity).
 fn parse_position<'a, I: Iterator<Item = &'a str>>(words: &mut I) -> Result<(AnyPos, u32), String> {
+    fn num<'a, T: std::str::FromStr>(
+        words: &mut impl Iterator<Item = &'a str>,
+        what: &str,
+    ) -> Result<T, String> {
+        words
+            .next()
+            .and_then(|w| w.parse().ok())
+            .ok_or_else(|| format!("random position needs a numeric {what} in range"))
+    }
     let mut plies = 0u32;
     let mut pos = match words.next() {
         Some("startpos") | Some("othello") => AnyPos::othello_startpos(),
         Some("checkers") => AnyPos::checkers_startpos(),
         Some("random") => {
-            let mut num = |what: &str| -> Result<u64, String> {
-                words
-                    .next()
-                    .and_then(|w| w.parse().ok())
-                    .ok_or_else(|| format!("random position needs a numeric {what}"))
-            };
-            let (seed, degree, height) = (num("seed")?, num("degree")?, num("height")?);
-            AnyPos::random_root(seed, degree as u32, height as u32)
+            let seed: u64 = num(words, "seed")?;
+            let degree: u32 = num(words, "degree")?;
+            let height: u32 = num(words, "height")?;
+            if degree > MAX_RANDOM_DEGREE {
+                return Err(format!(
+                    "random degree {degree} exceeds {MAX_RANDOM_DEGREE} (16-bit move indices)"
+                ));
+            }
+            AnyPos::random_root(seed, degree, height)
         }
         other => return Err(format!("unknown position kind {other:?}")),
     };
@@ -423,6 +437,79 @@ mod tests {
     fn malformed_commands_answer_with_error_lines() {
         let out = run_session("position nowhere\nwat\nposition startpos moves zz9\nquit\n");
         assert_eq!(out.matches("info string error:").count(), 3);
+    }
+
+    #[test]
+    fn oversized_random_trees_are_rejected_not_truncated() {
+        // A degree past the 16-bit index range would allocate its whole
+        // move list on the first `moves` token, and a number past u32 must
+        // not wrap into range. Both answer with an error line and keep the
+        // previous position.
+        for line in [
+            "position random 1 65537 4",
+            "position random 1 4294967295 4 moves 0",
+            "position random 1 4294967296 4",
+            "position random 1 4 4294967296",
+        ] {
+            let err = parse_position(&mut line.split_whitespace().skip(1)).unwrap_err();
+            assert!(
+                err.contains("degree") || err.contains("height"),
+                "{line}: {err}"
+            );
+        }
+        let (p, plies) = parse_position(&mut "random 1 65536 3 moves 65535".split_whitespace())
+            .expect("the widest accepted tree parses");
+        assert_eq!((p.degree(), plies), (65536, 1));
+        let out = run_session("position random 1 4294967295 4 moves 0\nquit\n");
+        assert_eq!(out.matches("info string error:").count(), 1);
+    }
+
+    /// Tokens the position and go grammars know, plus hostile numbers.
+    const TOKENS: &[&str] = &[
+        "startpos",
+        "othello",
+        "checkers",
+        "random",
+        "moves",
+        "pass",
+        "d3",
+        "zz9",
+        "0",
+        "1",
+        "3",
+        "65535",
+        "65536",
+        "65537",
+        "4294967295",
+        "4294967296",
+        "-1",
+        "18446744073709551616",
+        "movetime",
+        "depth",
+        "wtime",
+        "btime",
+        "winc",
+        "binc",
+        "infinite",
+        "",
+    ];
+
+    mod fuzz {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn parsers_never_panic_on_bounded_token_sequences(
+                picks in prop::collection::vec(0usize..TOKENS.len(), 0..10),
+            ) {
+                let words: Vec<&str> = picks.iter().map(|&i| TOKENS[i]).collect();
+                let _ = parse_position(&mut words.iter().copied());
+                let _ = parse_go(&mut words.iter().copied());
+            }
+        }
     }
 
     #[test]

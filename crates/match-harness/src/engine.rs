@@ -183,7 +183,7 @@ impl Player {
         let policy = pos.order_policy();
         let mut nodes = 0u64;
         let mut serial = |i: usize, d: u32, w: Window, c: &SearchControl| {
-            let r = alphabeta_with(&kids[i], d, w, policy, Hooks::default().with_ctl(c));
+            let r = alphabeta_with(&kids[i], d, w, policy, 0, Hooks::default().with_ctl(c));
             nodes += r.stats.nodes();
             r.aborted.map_or(Ok((r.value, r.stats)), Err)
         };

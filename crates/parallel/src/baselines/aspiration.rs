@@ -84,7 +84,7 @@ pub fn run_aspiration_guess<P: GamePosition>(
         };
         let beta = if i == k - 1 { Value::INF } else { bounds[i] };
         let w = Window::new(alpha, beta);
-        let r = alphabeta_with(pos, depth, w, order, Hooks::default());
+        let r = alphabeta_with(pos, depth, w, order, 0, Hooks::default());
         total.merge(&r.stats);
         let ticks = cost.serial_ticks(&r.stats);
         if value.is_some() {

@@ -276,6 +276,7 @@ impl<P: GamePosition, T: TtAccess<P>> HeapWorker for MwfWorker<P, T> {
                     n.depth,
                     w,
                     self.order,
+                    0,
                     Hooks::default().with_tt(self.tt),
                 );
                 self.totals.merge(&r.stats);
@@ -297,6 +298,7 @@ impl<P: GamePosition, T: TtAccess<P>> HeapWorker for MwfWorker<P, T> {
                     n.depth - 1,
                     w,
                     self.order,
+                    0,
                     Hooks::default().with_tt(self.tt),
                 );
                 self.totals.merge(&r.stats);

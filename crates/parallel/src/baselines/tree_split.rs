@@ -93,7 +93,7 @@ fn split<P: GamePosition>(
 ) -> (Value, u64) {
     if height == 0 || depth == 0 {
         // Leaf processor: plain serial alpha-beta.
-        let r = alphabeta_with(pos, depth, window, ctx.order, Hooks::default());
+        let r = alphabeta_with(pos, depth, window, ctx.order, 0, Hooks::default());
         ctx.stats.merge(&r.stats);
         return (r.value, start + ctx.cost.serial_ticks(&r.stats));
     }

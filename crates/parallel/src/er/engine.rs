@@ -8,9 +8,12 @@
 //! with the `combine` procedure and trigger the Table 2 actions at the
 //! deepest ancestor that still has outstanding work.
 //!
-//! Nodes whose remaining depth is at most `serial_depth` are solved by
-//! serial ER in a single unit of work, with the dynamic alpha-beta window
-//! captured when the work is taken (§6, Table 3's "serial depth").
+//! Nodes whose remaining depth is at most `serial_depth` are solved by one
+//! serial search in a single unit of work, with the dynamic alpha-beta
+//! window captured when the work is taken (§6, Table 3's "serial depth").
+//! The back-end that builds the [`ErWorker`] picks that search
+//! ([`Frontier`]): the simulator runs serial ER, the threaded back-end
+//! alpha-beta.
 //!
 //! The engine is split into three phases so that both back-ends share it:
 //! [`ErWorker::select`] (under the heap lock: pop queues, resolve cutoffs,
@@ -25,6 +28,7 @@ use std::sync::Arc;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::{simulate, HeapWorker, StableQueue, TakenWork};
+use search_serial::alphabeta_with;
 use search_serial::control::CtlHook;
 use search_serial::er::{er_eval_refute_with, er_search_with, ErConfig};
 use search_serial::ordering::{
@@ -35,6 +39,18 @@ use tt::{Bound, TtAccess};
 
 use super::{ErParallelConfig, ErRunResult};
 use crate::tree::{Kind, NodeId, SearchTree, ROOT};
+
+/// The serial search that solves serial-frontier jobs (DESIGN.md §7.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frontier {
+    /// Serial ER, the paper's choice: a fresh e-node gets a full ER
+    /// evaluation, one ply below the serial depth; a fresh r-node the
+    /// `Eval_first`/`Refute_rest` discipline at the serial depth.
+    Er,
+    /// Alpha-beta under the captured window, at the full serial depth for
+    /// e-nodes and r-nodes alike: the fastest serial search (§7).
+    AlphaBeta,
+}
 
 /// What must be computed for a taken node, outside the heap lock.
 ///
@@ -64,14 +80,16 @@ pub enum Task {
     NextChild,
     /// Spawn the remaining children of a promoted e-child.
     ExpandRest,
-    /// Solve the subtree serially under the captured window: a fresh
-    /// e-node gets a full ER evaluation, a fresh r-node the cheaper
-    /// `Eval_first`/`Refute_rest` discipline.
+    /// Solve the subtree serially under the captured window with the
+    /// `frontier` search. Under serial ER a fresh e-node gets a full
+    /// evaluation, a fresh r-node (`refute`) the cheaper
+    /// `Eval_first`/`Refute_rest` discipline; alpha-beta treats both alike.
     Serial {
         depth: u32,
         window: Window,
         ply: u32,
         refute: bool,
+        frontier: Frontier,
     },
 }
 
@@ -244,12 +262,13 @@ pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlHook, O: OrdAccess>(
             window,
             ply,
             refute,
+            frontier,
         } => {
             let pos = pos.expect("serial task reads its position");
-            let r = if refute {
-                er_eval_refute_with(pos, depth, window, cfg, ply, hooks)
-            } else {
-                er_search_with(pos, depth, window, cfg, ply, hooks)
+            let r = match frontier {
+                Frontier::AlphaBeta => alphabeta_with(pos, depth, window, cfg.order, ply, hooks),
+                Frontier::Er if refute => er_eval_refute_with(pos, depth, window, cfg, ply, hooks),
+                Frontier::Er => er_search_with(pos, depth, window, cfg, ply, hooks),
             };
             if !r.is_complete() {
                 return Outcome::Aborted;
@@ -270,6 +289,7 @@ pub struct ErWorker<P: GamePosition> {
     /// Speculative queue: fewest e-children first, then shallowest.
     spec: StableQueue<(u32, u32), NodeId>,
     cfg: ErParallelConfig,
+    frontier: Frontier,
     /// Aggregate nodes examined / evaluator calls (Figures 12 and 13).
     pub totals: SearchStats,
     /// Path keys of every examined node (interior expansions and leaves;
@@ -285,20 +305,23 @@ pub struct ErWorker<P: GamePosition> {
 }
 
 impl<P: GamePosition> ErWorker<P> {
-    /// A worker ready to search `pos` to `depth` plies.
-    pub fn new(pos: P, depth: u32, cfg: ErParallelConfig) -> ErWorker<P> {
-        ErWorker::new_windowed(pos, depth, Window::FULL, cfg)
-    }
-
-    /// [`ErWorker::new`] with an explicit root window (aspiration search):
-    /// every dynamic window in the tree — and every serial-frontier job —
-    /// inherits the narrowed bounds.
-    pub fn new_windowed(pos: P, depth: u32, window: Window, cfg: ErParallelConfig) -> ErWorker<P> {
+    /// A worker ready to search `pos` to `depth` plies under the root
+    /// `window` (narrowed for an aspiration probe: every dynamic window in
+    /// the tree, and every serial-frontier job, inherits the bounds), with
+    /// `frontier` solving the serial-frontier jobs.
+    pub fn new(
+        pos: P,
+        depth: u32,
+        window: Window,
+        cfg: ErParallelConfig,
+        frontier: Frontier,
+    ) -> ErWorker<P> {
         let mut w = ErWorker {
             tree: SearchTree::new_windowed(pos, depth, window),
             primary: StableQueue::new(),
             spec: StableQueue::new(),
             cfg,
+            frontier,
             totals: SearchStats::new(),
             examined_keys: Vec::new(),
             cached_leaf_hits: 0,
@@ -635,13 +658,13 @@ impl<P: GamePosition> ErWorker<P> {
         // serial refutation (its window is tight), while an *undecided*
         // node still spawns only its first child, so the frontier keeps
         // evaluating elder grandchildren before committing to children.
-        // Evaluation jobs (fresh e-nodes) go serial one ply deeper than
-        // refutation jobs: a refutation runs under a tight window and is a
-        // natural unit of work at the full serial depth, while a full
-        // evaluation at that depth is a long, high-variance job that
-        // lengthens the critical path. (Refinement of §6's single
-        // threshold; see DESIGN.md.)
-        let serial_limit = if kind == Kind::ENode {
+        // Under serial ER, evaluation jobs (fresh e-nodes) go serial one
+        // ply deeper than refutation jobs: a full ER evaluation at the
+        // serial depth is a long, high-variance job that lengthens the
+        // critical path. An alpha-beta evaluation is not, so under
+        // alpha-beta both kinds share §6's single threshold (DESIGN.md
+        // §7.2).
+        let serial_limit = if kind == Kind::ENode && self.frontier == Frontier::Er {
             self.cfg.serial_depth.saturating_sub(1)
         } else {
             self.cfg.serial_depth
@@ -656,6 +679,7 @@ impl<P: GamePosition> ErWorker<P> {
                     window,
                     ply: node.ply,
                     refute: kind == Kind::RNode,
+                    frontier: self.frontier,
                 },
             };
         }
@@ -1006,7 +1030,7 @@ pub fn run_er_sim_with<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
     hooks: Hooks<T, (), (), O>,
 ) -> ErRunResult {
     let mut adapter = SimAdapter {
-        worker: ErWorker::new_windowed(pos.clone(), depth, window, *cfg),
+        worker: ErWorker::new(pos.clone(), depth, window, *cfg, Frontier::Er),
         inflight: Vec::new(),
         trace: Vec::new(),
         hooks,

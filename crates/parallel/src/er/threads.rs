@@ -91,7 +91,7 @@ use search_serial::er::ErConfig;
 use search_serial::ordering::OrdAccess;
 use search_serial::Hooks;
 
-use super::engine::{execute_task, ErWorker, Outcome, Select, Task};
+use super::engine::{execute_task, ErWorker, Frontier, Outcome, Select, Task};
 use super::ErParallelConfig;
 use crate::control::{AbortReason, CtlProbe, SearchAborted, SearchControl};
 use crate::tree::NodeId;
@@ -630,7 +630,14 @@ where
     assert!(threads > 0);
     let (owners, stealers): (Vec<_>, Vec<_>) =
         (0..threads).map(|_| ws_deque::<JobRef>(DEQUE_CAP)).unzip();
-    let worker = ErWorker::new_windowed(pos.clone(), depth, window, *cfg);
+    // Alpha-beta solves the serial frontier, except under quiescence
+    // extension, which only serial ER implements.
+    let frontier = if cfg.sel.enabled() {
+        Frontier::Er
+    } else {
+        Frontier::AlphaBeta
+    };
+    let worker = ErWorker::new(pos.clone(), depth, window, *cfg, frontier);
     let pool = Pool {
         scfg: worker.serial_cfg(),
         heap: Mutex::new(Shared { worker, parked: 0 }),

@@ -2,11 +2,11 @@
 //! across arbitrary trees, processor counts, and speculation settings, and
 //! step-by-step checks of the Table 1/2 scheduling rules.
 
-use er_parallel::er::engine::{execute_task, ErWorker, Job, Select, Task};
+use er_parallel::er::engine::{execute_task, ErWorker, Frontier, Job, Select, Task};
 use er_parallel::{run_er_sim, run_er_threads, ErParallelConfig, Speculation};
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
-use gametree::{GamePosition, Value};
+use gametree::{GamePosition, Value, Window};
 use proptest::prelude::*;
 use search_serial::{negmax, ErConfig, OrderPolicy, SelectivityConfig};
 
@@ -53,16 +53,19 @@ proptest! {
     }
 
     #[test]
-    fn threads_match_negmax_on_random_trees(seed in any::<u64>()) {
+    fn threads_match_negmax_on_random_trees(seed in any::<u64>(), serial_depth in 0u32..5) {
         // Every speculation combination at every thread count agrees with
-        // negamax, and none deep-clones a position under the heap lock.
+        // negamax, at every serial depth of the 5-ply tree: the alpha-beta
+        // frontier runs e-node and r-node jobs at each boundary.
         let root = RandomTreeSpec::new(seed, 3, 5).root();
         let exact = negmax(&root, 5).value;
         for spec in all_speculations() {
-            let cfg = ErParallelConfig { spec, ..ErParallelConfig::random_tree(2) };
+            let cfg = ErParallelConfig { spec, ..ErParallelConfig::random_tree(serial_depth) };
             for threads in [1usize, 2, 4, 8] {
                 let r = run_er_threads(&root, 5, threads, &cfg);
-                prop_assert_eq!(r.value, exact, "{:?} at {} threads", spec, threads);
+                prop_assert_eq!(
+                    r.value, exact, "{:?} at {} threads, serial depth {}", spec, threads, serial_depth
+                );
             }
         }
     }
@@ -104,7 +107,7 @@ fn drive_labels<P: GamePosition>(
     cfg: ErParallelConfig,
     limit: usize,
 ) -> Vec<&'static str> {
-    let mut w = ErWorker::new(pos.clone(), depth, cfg);
+    let mut w = ErWorker::new(pos.clone(), depth, Window::FULL, cfg, Frontier::Er);
     let mut labels = Vec::new();
     while labels.len() < limit {
         match w.select(true) {
@@ -161,6 +164,23 @@ fn serial_frontier_jobs_have_the_right_discipline() {
 }
 
 #[test]
+fn alphabeta_frontier_takes_fresh_enodes_at_the_full_serial_depth() {
+    // A 4-ply root at serial depth 4: serial ER keeps an e-node one ply
+    // inside its evaluation limit, so it expands the root; alpha-beta
+    // solves the whole root in one serial job.
+    let root = RandomTreeSpec::new(5, 3, 4).root();
+    let cfg = ErParallelConfig::random_tree(4);
+    for frontier in [Frontier::Er, Frontier::AlphaBeta] {
+        let mut w = ErWorker::new(root, 4, Window::FULL, cfg, frontier);
+        let Select::Job(job) = w.select(true) else {
+            panic!("the root is the first job");
+        };
+        let serial = matches!(job.task, Task::Serial { frontier: f, .. } if f == frontier);
+        assert_eq!(serial, frontier == Frontier::AlphaBeta, "{:?}", job.task);
+    }
+}
+
+#[test]
 fn refutation_jobs_appear_after_the_echild_evaluates() {
     let root = RandomTreeSpec::new(5, 3, 6).root();
     let labels = drive_labels(&root, 6, ErParallelConfig::random_tree(3), 200);
@@ -183,7 +203,7 @@ fn speculative_queue_is_popped_only_when_asked() {
     // and `select(true)` must promote an e-child and hand out its job.
     let root = RandomTreeSpec::new(5, 3, 6).root();
     let cfg = ErParallelConfig::random_tree(0);
-    let mut w = ErWorker::new(root, 6, cfg);
+    let mut w = ErWorker::new(root, 6, Window::FULL, cfg, Frontier::Er);
     let mut pending = std::collections::VecDeque::new();
     loop {
         let mut dry = false;

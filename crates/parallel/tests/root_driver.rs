@@ -43,7 +43,7 @@ fn serial_deepening<P: GamePosition, T: TtAccess<P>>(
     for depth in 1..=max_depth {
         stepper
             .step_with(depth, &ctl, (), |d, w, _| {
-                let r = alphabeta_with(pos, d, w, policy, Hooks::default().with_tt(tt));
+                let r = alphabeta_with(pos, d, w, policy, 0, Hooks::default().with_tt(tt));
                 Ok((r.value, r.stats))
             })
             .expect("an uncontrolled search never aborts");
@@ -63,6 +63,7 @@ fn serial_child<P: GamePosition>(
         depth,
         w,
         OrderPolicy::NATURAL,
+        0,
         Hooks::default().with_ctl(ctl),
     );
     r.aborted.map_or(Ok((r.value, r.stats)), Err)

@@ -14,23 +14,29 @@ use crate::SearchResult;
 
 /// Full-window alpha-beta evaluation of `pos` to `depth` plies.
 pub fn alphabeta<P: GamePosition>(pos: &P, depth: u32, policy: OrderPolicy) -> SearchResult {
-    alphabeta_with(pos, depth, Window::FULL, policy, Hooks::default()).into()
+    alphabeta_with(pos, depth, Window::FULL, policy, 0, Hooks::default()).into()
 }
 
-/// Alpha-beta under `window` with any [`Hooks`]: a table (probe before
-/// expanding — an equal-depth entry can answer the node outright — seed
-/// child ordering with the stored best move, store on every return), a
-/// control polled at every node, a tracer, and killer/history tables
-/// ranking the children the static policy left unsorted.
+/// Alpha-beta under `window`, starting at ply `start_ply`, with any
+/// [`Hooks`]: a table (probe before expanding — an equal-depth entry can
+/// answer the node outright — seed child ordering with the stored best
+/// move, store on every return), a control polled at every node, a tracer,
+/// and killer/history tables ranking the children the static policy left
+/// unsorted. `start_ply` anchors the ordering policy's ply limit and the
+/// killer slots at the global root, as in
+/// [`er_search_with`](crate::er_search_with).
 ///
-/// Fail-soft: the result is exact if it lies strictly inside `window`,
-/// otherwise it is a bound of the corresponding direction. A run the
-/// control aborted flags itself via `aborted` and its value is partial.
+/// The result is exact if it lies strictly inside `window`. At or above
+/// beta it is a fail-soft lower bound; a search that fails low returns at
+/// least `window.alpha`, an upper bound, as serial ER does. Every node
+/// below the root stays fail-soft. A run the control aborted flags itself
+/// via `aborted` and its value is partial.
 pub fn alphabeta_with<P, T, C, R, O>(
     pos: &P,
     depth: u32,
     window: Window,
     policy: OrderPolicy,
+    start_ply: u32,
     hooks: Hooks<T, C, R, O>,
 ) -> CtlSearchResult
 where
@@ -48,6 +54,7 @@ where
             depth,
             window,
             policy,
+            start_ply,
             ord,
         },
     )
@@ -59,6 +66,7 @@ struct Ab<'a, P, O> {
     depth: u32,
     window: Window,
     policy: OrderPolicy,
+    start_ply: u32,
     ord: O,
 }
 
@@ -73,13 +81,14 @@ impl<P: GamePosition, O: OrdAccess> SerialBody<P> for Ab<'_, P, O> {
             self.pos,
             self.depth,
             self.window,
-            0,
+            self.start_ply,
             self.policy,
             tt,
             ctl,
             self.ord,
             stats,
         )
+        .map(|v| v.max(self.window.alpha))
         .ok_or(Value::NEG_INF)
     }
 }
@@ -177,7 +186,7 @@ mod tests {
     use gametree::random::RandomTreeSpec;
 
     fn window<P: GamePosition>(root: &P, depth: u32, w: Window) -> Value {
-        alphabeta_with(root, depth, w, OrderPolicy::NATURAL, Hooks::default()).value
+        alphabeta_with(root, depth, w, OrderPolicy::NATURAL, 0, Hooks::default()).value
     }
 
     #[test]
@@ -255,17 +264,38 @@ mod tests {
             let root = RandomTreeSpec::new(seed, 3, 4).root();
             let exact = negmax(&root, 4).value;
             // A window strictly below the exact value fails high with a
-            // lower bound <= exact; strictly above fails low with an upper
-            // bound >= exact.
+            // lower bound <= exact; strictly above fails low with alpha
+            // itself, an upper bound >= exact.
             let lo = Window::new(Value::new(-20_000), Value::new(exact.get() - 1));
             let hi = Window::new(Value::new(exact.get() + 1), Value::new(20_000));
             let fail_high = window(&root, 4, lo);
             let fail_low = window(&root, 4, hi);
             assert!(fail_high >= Value::new(exact.get() - 1), "seed {seed}");
             assert!(fail_high <= exact, "fail-soft lower bound exceeds exact");
-            assert!(fail_low <= Value::new(exact.get() + 1), "seed {seed}");
-            assert!(fail_low >= exact, "fail-soft upper bound below exact");
+            assert_eq!(fail_low, hi.alpha, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn start_ply_anchors_the_sorting_limit() {
+        // OrderPolicy::OTHELLO sorts above ply five: a subtree searched from
+        // ply five sorts nothing, the same subtree from ply 0 sorts.
+        let root = RandomTreeSpec::new(4, 4, 4).root();
+        let at = |ply| {
+            alphabeta_with(
+                &root,
+                4,
+                Window::FULL,
+                OrderPolicy::OTHELLO,
+                ply,
+                Hooks::default(),
+            )
+        };
+        let (top, deep) = (at(0), at(5));
+        assert_eq!(top.value, deep.value);
+        assert!(top.stats.sorts > 0);
+        assert_eq!(deep.stats.sorts, 0);
+        assert_eq!(deep.stats, alphabeta(&root, 4, OrderPolicy::NATURAL).stats);
     }
 
     #[test]
@@ -285,7 +315,7 @@ mod tests {
             let full = alphabeta(&root, 4, OrderPolicy::NATURAL);
             let exact = full.value.get();
             let narrow = Window::new(Value::new(exact - 1), Value::new(exact + 1));
-            let r = alphabeta_with(&root, 4, narrow, OrderPolicy::NATURAL, Hooks::default());
+            let r = alphabeta_with(&root, 4, narrow, OrderPolicy::NATURAL, 0, Hooks::default());
             assert!(r.stats.nodes() <= full.stats.nodes(), "seed {seed}");
         }
     }

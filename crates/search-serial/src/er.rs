@@ -558,98 +558,6 @@ where
     )
 }
 
-/// Continues the evaluation of a node whose *first* child has already been
-/// fully evaluated (to `-initial_value` from the node's point of view):
-/// examines `children[1..]` with the `Eval_first`/`Refute_rest` discipline
-/// under `window` and any [`Hooks`], and returns the node's final value.
-///
-/// This is the serial-frontier form of a promoted e-child in the parallel
-/// engine: its elder grandchild was evaluated earlier as its own unit of
-/// work, and the rest of the subtree is finished serially. A cutoff in the
-/// continuation loop credits the cutting child to the ordering tables
-/// against the *parent* node (one ply above the children), matching what
-/// the in-tree `Refute_rest` records.
-pub fn er_refute_rest_with<P, T, C, R, O>(
-    children: &[P],
-    child_depth: u32,
-    child_ply: u32,
-    window: Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    hooks: Hooks<T, C, R, O>,
-) -> CtlSearchResult
-where
-    P: GamePosition,
-    T: TtAccess<P>,
-    C: CtlHook,
-    R: TraceAccess,
-    O: OrdAccess,
-{
-    let ord = hooks.ord;
-    run_serial(
-        hooks,
-        RefuteRest {
-            children,
-            child_depth,
-            child_ply,
-            window,
-            cfg,
-            initial_value,
-            ord,
-        },
-    )
-}
-
-/// The continuation loop of [`er_refute_rest_with`] as a [`SerialBody`].
-struct RefuteRest<'a, P, O> {
-    children: &'a [P],
-    child_depth: u32,
-    child_ply: u32,
-    window: Window,
-    cfg: ErConfig,
-    initial_value: Value,
-    ord: O,
-}
-
-impl<P: GamePosition, O: OrdAccess> SerialBody<P> for RefuteRest<'_, P, O> {
-    fn run<T: TtAccess<P>, C: CtlAccess>(
-        self,
-        tt: T,
-        ctl: C,
-        stats: &mut SearchStats,
-    ) -> Result<Value, Value> {
-        let (cfg, ord) = (self.cfg, self.ord);
-        let beta = self.window.beta;
-        let mut value = self.window.alpha.max(self.initial_value);
-        for (i, child) in self.children.iter().enumerate().skip(1) {
-            if value >= beta {
-                break;
-            }
-            let mut n = ErNode::root(child.clone(), self.child_depth, self.child_ply, cfg);
-            let mut step = || -> Option<Value> {
-                let mut t = -eval_first(&mut n, -beta, -value, cfg, tt, ctl, ord, stats)?;
-                if !n.done {
-                    t = -refute_rest(&mut n, -beta, -value, cfg, tt, ctl, ord, stats)?;
-                }
-                Some(t)
-            };
-            value = value.max(step().ok_or(value)?);
-            if value >= beta {
-                stats.cutoffs += 1;
-                note_cutoff(
-                    ord,
-                    self.child_ply.saturating_sub(1),
-                    self.child_depth + 1,
-                    i as u16,
-                    stats,
-                );
-                break;
-            }
-        }
-        Ok(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -810,50 +718,6 @@ mod tests {
         let root = RandomTreeSpec::new(2, 4, 5).root();
         let r = alphabeta(&root, 5, OrderPolicy::ALWAYS);
         assert!(r.stats.eval_calls > r.stats.leaf_nodes);
-    }
-
-    #[test]
-    fn refute_rest_continuation_matches_full_search() {
-        // Evaluating child 0 separately and finishing with er_refute_rest
-        // must give the same node value as evaluating the node whole.
-        for seed in 0..8 {
-            let node_pos = RandomTreeSpec::new(seed, 4, 5).root();
-            let whole = negmax(&node_pos, 5).value;
-            let kids = node_pos.children();
-            let first = er_search(&kids[0], 4, ErConfig::NATURAL).value;
-            let r = er_refute_rest_with(
-                &kids,
-                4,
-                1,
-                Window::FULL,
-                ErConfig::NATURAL,
-                -first,
-                Hooks::default(),
-            );
-            assert_eq!(r.value, whole, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn refute_rest_respects_beta_cutoff() {
-        let node_pos = RandomTreeSpec::new(3, 4, 4).root();
-        let kids = node_pos.children();
-        let first = er_search(&kids[0], 3, ErConfig::NATURAL).value;
-        let tentative = -first;
-        // A beta at or below the tentative value refutes immediately: no
-        // further children are searched.
-        let w = Window::new(Value::NEG_INF, tentative);
-        let r = er_refute_rest_with(
-            &kids,
-            3,
-            1,
-            w,
-            ErConfig::NATURAL,
-            tentative,
-            Hooks::default(),
-        );
-        assert!(r.value >= w.beta);
-        assert_eq!(r.stats.nodes(), 0, "no work when already refuted");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! let table = TranspositionTable::with_bits(12);
 //! let ctl = SearchControl::unlimited();
 //! let hooks = Hooks::default().with_tt(&table).with_ctl(&ctl);
-//! let r = alphabeta_with(&root, 5, Window::FULL, OrderPolicy::NATURAL, hooks);
+//! let r = alphabeta_with(&root, 5, Window::FULL, OrderPolicy::NATURAL, 0, hooks);
 //! assert!(r.is_complete());
 //! assert!(table.stats().stores > 0);
 //! ```

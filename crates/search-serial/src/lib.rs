@@ -43,7 +43,7 @@ pub use alphabeta::{alphabeta, alphabeta_with, fail_soft_bound};
 pub use control::{
     AbortReason, CtlAccess, CtlHook, CtlProbe, CtlSearchResult, SearchControl, CHECK_PERIOD,
 };
-pub use er::{er_eval_refute_with, er_refute_rest_with, er_search, er_search_with, ErConfig};
+pub use er::{er_eval_refute_with, er_search, er_search_with, ErConfig};
 pub use hooks::Hooks;
 pub use negmax::{negmax, negmax_with};
 pub use nodeep::alphabeta_nodeep;

@@ -36,7 +36,7 @@ proptest! {
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
 
-        let r = alphabeta_with(&root, 32, W, OrderPolicy::NATURAL, h);
+        let r = alphabeta_with(&root, 32, W, OrderPolicy::NATURAL, 0, h);
         let base = alphabeta(&root, 32, OrderPolicy::NATURAL);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
@@ -71,7 +71,7 @@ proptest! {
         prop_assert_eq!(r.stats, base.stats);
 
         for policy in [OrderPolicy::NATURAL, OrderPolicy::ALWAYS] {
-            let r = alphabeta_with(&root, depth, W, policy, h);
+            let r = alphabeta_with(&root, depth, W, policy, 0, h);
             let base = alphabeta(&root, depth, policy);
             prop_assert_eq!(r.value, base.value);
             prop_assert_eq!(r.stats, base.stats);
@@ -95,7 +95,7 @@ proptest! {
         let root = RandomTreeSpec::new(seed, 4, 6).root();
         let ctl = SearchControl::with_budget(std::time::Duration::ZERO);
         let h = Hooks::default().with_ctl(&ctl);
-        let r = alphabeta_with(&root, 6, W, OrderPolicy::NATURAL, h);
+        let r = alphabeta_with(&root, 6, W, OrderPolicy::NATURAL, 0, h);
         prop_assert!(!r.is_complete());
         prop_assert_eq!(r.aborted, Some(search_serial::AbortReason::DeadlineHit));
     }

@@ -51,7 +51,7 @@ proptest! {
         let root = ArenaTree::root_of(&spec);
         let exact = negmax(&root, 32).value;
         let w = Window::new(Value::new(a), Value::new(b));
-        let r = alphabeta_with(&root, 32, w, OrderPolicy::NATURAL, Hooks::default()).value;
+        let r = alphabeta_with(&root, 32, w, OrderPolicy::NATURAL, 0, Hooks::default()).value;
         if w.contains(exact) {
             prop_assert_eq!(r, exact, "inside the window the result is exact");
         }

@@ -28,7 +28,7 @@ proptest! {
         let h = Hooks::default().with_tt(&table);
         prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
-            alphabeta_with(&root, depth, W, OrderPolicy::NATURAL, h).value,
+            alphabeta_with(&root, depth, W, OrderPolicy::NATURAL, 0, h).value,
             exact
         );
         prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::NATURAL, h).value, exact);
@@ -51,7 +51,7 @@ proptest! {
         let h = Hooks::default().with_tt(&table);
         prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
-            alphabeta_with(&root, depth, W, OrderPolicy::ALWAYS, h).value,
+            alphabeta_with(&root, depth, W, OrderPolicy::ALWAYS, 0, h).value,
             exact
         );
         prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::ALWAYS, h).value, exact);

@@ -26,7 +26,7 @@ fn all_tt_backends_agree_with_the_table_free_searches_on_ordered_trees() {
         let h = Hooks::default().with_tt(&table);
         assert_eq!(negmax_with(&root, depth, h).value, exact, "negmax");
         assert_eq!(
-            alphabeta_with(&root, depth, W, ALWAYS, h).value,
+            alphabeta_with(&root, depth, W, ALWAYS, 0, h).value,
             alphabeta(&root, depth, ALWAYS).value,
             "alphabeta seed {seed}"
         );
@@ -78,7 +78,7 @@ fn a_one_bucket_table_stays_correct_under_constant_eviction() {
         let h = Hooks::default().with_tt(&table);
         let exact = negmax(&root, 5).value;
         assert_eq!(er_search_with(&root, 5, W, NATURAL, 0, h).value, exact);
-        assert_eq!(alphabeta_with(&root, 5, W, ALWAYS, h).value, exact);
+        assert_eq!(alphabeta_with(&root, 5, W, ALWAYS, 0, h).value, exact);
         assert_eq!(negmax_with(&root, 5, h).value, exact);
     }
 }
@@ -93,7 +93,7 @@ fn cross_algorithm_sharing_is_sound() {
     let exact = negmax_with(&p, 9, h).value;
     assert_eq!(exact, Value::ZERO);
     assert_eq!(
-        alphabeta_with(&p, 9, W, OrderPolicy::NATURAL, h).value,
+        alphabeta_with(&p, 9, W, OrderPolicy::NATURAL, 0, h).value,
         exact
     );
     assert_eq!(pvs_with(&p, 9, W, OrderPolicy::NATURAL, h).value, exact);

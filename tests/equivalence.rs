@@ -119,7 +119,7 @@ fn serial_deepening<P: GamePosition>(
         ordering: false,
     };
     let search = |p: &P, d: u32, w: Window| {
-        let r = alphabeta_with(p, d, w, order, Hooks::default());
+        let r = alphabeta_with(p, d, w, order, 0, Hooks::default());
         Ok((r.value, r.stats))
     };
     let kids = pos.children();

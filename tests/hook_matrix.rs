@@ -21,14 +21,17 @@
 //! `metrics_fold` test checks.
 //!
 //! A last case keeps one table warm across many searches and windows and
-//! checks every bound serial ER stores against alpha-beta: a wrong entry
-//! only shows in a value once a later search probes it.
+//! checks every bound serial ER and alpha-beta store against an
+//! independent alpha-beta, on Othello and checkers roots: a wrong entry
+//! only shows in a value once a later search probes it. Alpha-beta runs
+//! at start ply 0 and at start ply 3, as in the threaded back-end's
+//! serial frontier, which it solves.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 
 use er_search::prelude::*;
-use search_serial::{er_eval_refute_with, er_refute_rest_with};
+use search_serial::er_eval_refute_with;
 use tt::{Probe, TtAccess};
 
 /// The hook sets of the matrix.
@@ -253,22 +256,11 @@ fn run_matrix<P: GamePosition + Zobrist + Sync>(root: &P, depth: u32, order: Ord
             )
         };
     }
-    let kids = root.children();
-    let first = negmax(&kids[0], depth - 1).value;
-    serial_rows!("alphabeta", |h| alphabeta_with(root, depth, w, order, h));
+    serial_rows!("alphabeta", |h| alphabeta_with(root, depth, w, order, 0, h));
     serial_rows!("pvs", |h| pvs_with(root, depth, w, order, h));
     serial_rows!("er_search", |h| er_search_with(root, depth, w, ecfg, 0, h));
     serial_rows!("er_eval_refute", |h| er_eval_refute_with(
         root, depth, w, ecfg, 0, h
-    ));
-    serial_rows!("er_refute_rest", |h| er_refute_rest_with(
-        &kids,
-        depth - 1,
-        1,
-        w,
-        ecfg,
-        -first,
-        h
     ));
 
     let cfg = ErParallelConfig {
@@ -350,12 +342,12 @@ struct Audited<'a> {
     wrong: &'a RefCell<Vec<String>>,
 }
 
-impl TtAccess<OthelloPos> for Audited<'_> {
-    fn probe(self, pos: &OthelloPos) -> Option<Probe> {
+impl<P: GamePosition + Zobrist> TtAccess<P> for Audited<'_> {
+    fn probe(self, pos: &P) -> Option<Probe> {
         self.table.probe(pos.zobrist())
     }
 
-    fn store(self, pos: &OthelloPos, depth: u32, value: Value, bound: Bound, hint: Option<u16>) {
+    fn store(self, pos: &P, depth: u32, value: Value, bound: Bound, hint: Option<u16>) {
         let key = (pos.zobrist(), depth);
         let exact = *self
             .exact
@@ -379,25 +371,28 @@ impl TtAccess<OthelloPos> for Audited<'_> {
     }
 }
 
-/// A reproducible random playout from the initial position.
-fn othello_playout(seed: u64, plies: u32) -> OthelloPos {
-    let mut pos = OthelloPos::initial();
+/// A reproducible random playout from `pos`.
+fn playout<P: GamePosition>(mut pos: P, seed: u64, plies: u32) -> P {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     for _ in 0..plies {
-        let kids = pos.children();
+        let mut kids = pos.children();
         if kids.is_empty() {
             break;
         }
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        pos = kids[(state >> 33) as usize % kids.len()];
+        pos = kids.swap_remove((state >> 33) as usize % kids.len());
     }
     pos
 }
 
-#[test]
-fn warm_table_many_windows_store_only_proven_bounds() {
+/// Searches six playout roots from `initial` under many windows with
+/// serial ER (evaluation and refutation) and alpha-beta (start plies 0 and
+/// 3) on one warm table, and returns every store alpha-beta refutes. The
+/// first search of a window makes most of its stores (the later ones are
+/// mostly answered from them), so `ab_first` says which family leads.
+fn unproven_stores<P: GamePosition + Zobrist>(initial: &P, ab_first: bool) -> Vec<String> {
     const DEPTH: u32 = 4;
     let table = TranspositionTable::with_bits(20);
     let (exact, wrong) = (RefCell::default(), RefCell::default());
@@ -407,10 +402,20 @@ fn warm_table_many_windows_store_only_proven_bounds() {
         wrong: &wrong,
     };
     let hooks = Hooks::default().with_tt(tt);
+    let cfg = ErConfig::OTHELLO;
     for seed in 0..6 {
-        let root = othello_playout(seed, 10 + seed as u32);
+        let root = playout(initial.clone(), seed, 10 + seed as u32);
         let v = alphabeta(&root, DEPTH, OrderPolicy::NATURAL).value.get();
         let at = |d: i32| Value::new(v + d);
+        let er = |w| {
+            er_search_with(&root, DEPTH, w, cfg, 0, hooks);
+            er_eval_refute_with(&root, DEPTH, w, cfg, 0, hooks);
+        };
+        let ab = |w| {
+            for ply in [0, 3] {
+                alphabeta_with(&root, DEPTH, w, cfg.order, ply, hooks);
+            }
+        };
         // Null windows on and around the root value, then wider ones:
         // each search probes the entries the previous ones left behind.
         for d in -6..=6 {
@@ -418,16 +423,36 @@ fn warm_table_many_windows_store_only_proven_bounds() {
                 Window::new(at(d - 1), at(d)),
                 Window::new(at(4 * d - 8), at(4 * d + 8)),
             ] {
-                er_search_with(&root, DEPTH, w, ErConfig::OTHELLO, 0, hooks);
-                er_eval_refute_with(&root, DEPTH, w, ErConfig::OTHELLO, 0, hooks);
+                if ab_first {
+                    ab(w);
+                    er(w);
+                } else {
+                    er(w);
+                    ab(w);
+                }
             }
         }
     }
-    let wrong = wrong.into_inner();
-    assert!(
-        wrong.is_empty(),
-        "{} stored bounds alpha-beta refutes, first: {}",
-        wrong.len(),
-        wrong[0]
-    );
+    wrong.into_inner()
+}
+
+#[test]
+fn warm_table_many_windows_store_only_proven_bounds() {
+    for ab_first in [false, true] {
+        for (game, wrong) in [
+            ("othello", unproven_stores(&OthelloPos::initial(), ab_first)),
+            (
+                "checkers",
+                unproven_stores(&CheckersPos::initial(), ab_first),
+            ),
+        ] {
+            assert!(
+                wrong.is_empty(),
+                "{game} (alpha-beta first: {ab_first}): {} stored bounds alpha-beta refutes, \
+                 first: {}",
+                wrong.len(),
+                wrong[0]
+            );
+        }
+    }
 }
