@@ -55,7 +55,7 @@ pub mod time;
 pub mod uci;
 
 pub use game::{AnyMove, AnyPos};
-pub use scheduler::{serve_batch, serve_batch_on, SchedulerStats, SessionScheduler};
+pub use scheduler::{serve_batch, serve_batch_on, slice_search, SchedulerStats, SessionScheduler};
 pub use session::{
     Busy, Priority, Response, SchedulerConfig, SessionId, SessionRequest, SessionResult,
 };

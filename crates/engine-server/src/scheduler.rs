@@ -60,7 +60,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use er_parallel::{
-    record_run, run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper, SearchControl,
+    record_run, record_tt, run_er_threads_with, AbortReason, ErParallelConfig, Hooks, IdStepper,
+    SearchControl,
 };
 use gametree::{GamePosition, SearchStats, Value, Window};
 use metrics::EngineMetrics;
@@ -222,11 +223,8 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
         }
         m.server_active_sessions.set(self.active.len() as i64);
         let now = self.table.stats();
-        let delta = now.since(&self.tt_seen);
+        record_tt(m, &now.since(&self.tt_seen));
         self.tt_seen = now;
-        m.tt_probes_total.add(0, delta.probes);
-        m.tt_hits_total.add(0, delta.hits);
-        m.tt_stores_total.add(0, delta.stores);
         m.tt_occupancy
             .set_ratio(self.table.occupancy_sample(OCCUPANCY_SAMPLE_BUCKETS));
     }
@@ -475,7 +473,9 @@ impl<P: GamePosition + Zobrist> SessionScheduler<P> {
 /// table and trace `hooks`. The optional shared ordering tables are erased
 /// here so the caller needs no type-level branching, and each run is
 /// folded into the metric set `mx`, when one is attached, as it returns.
-pub(crate) fn slice_search<'a, P: GamePosition + Zobrist, R: TraceAccess + 'a>(
+/// UCI `go` and the match harness's threaded player search each root
+/// child through it too.
+pub fn slice_search<'a, P: GamePosition + Zobrist, R: TraceAccess + 'a>(
     pos: &'a P,
     threads: usize,
     cfg: &'a ErParallelConfig,

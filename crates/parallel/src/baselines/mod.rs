@@ -9,7 +9,7 @@ pub mod root_split;
 pub mod tree_split;
 
 pub use aspiration::{run_aspiration, run_aspiration_guess, AspirationRunResult};
-pub use mwf::{run_mwf, run_mwf_tt, MwfResult};
-pub use pv_split::{run_pv_split, run_pv_split_mw, run_pv_split_tt, PvSplitResult};
+pub use mwf::{run_mwf, MwfResult};
+pub use pv_split::{run_pv_split, run_pv_split_mw, PvSplitResult};
 pub use root_split::{run_root_split, RootSplitResult};
 pub use tree_split::{run_tree_split, run_tree_split_window, ProcShape, TreeSplitResult};

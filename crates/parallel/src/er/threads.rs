@@ -168,6 +168,14 @@ pub fn record_run(m: &EngineMetrics, run: &Result<ErThreadsResult, SearchAborted
     }
 }
 
+/// Folds a transposition table's counter delta over some span of searches
+/// (probes, hits, stores) into a metric set.
+pub fn record_tt(m: &EngineMetrics, delta: &TtStats) {
+    m.tt_probes_total.add(0, delta.probes);
+    m.tt_hits_total.add(0, delta.hits);
+    m.tt_stores_total.add(0, delta.stores);
+}
+
 /// Shared state guarded by the heap mutex: the scheduler core plus the
 /// parked-thread count the targeted wake-up policy needs.
 struct Shared<P: GamePosition> {

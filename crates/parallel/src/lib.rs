@@ -22,7 +22,7 @@ pub mod schedule;
 pub mod tree;
 
 pub use control::{AbortReason, SearchAborted, SearchControl};
-pub use er::threads::{record_run, ErThreadsResult, DEFAULT_BATCH, MAX_BATCH};
+pub use er::threads::{record_run, record_tt, ErThreadsResult, DEFAULT_BATCH, MAX_BATCH};
 pub use er::{
     root_split, run_er_sim, run_er_sim_with, run_er_threads, run_er_threads_exec,
     run_er_threads_id, run_er_threads_with, AspirationConfig, DepthResult, ErIdResult,

@@ -2,15 +2,12 @@
 //! a table attached must return the same root value as without one (and
 //! as plain negamax), while the shared table's counters show it was used.
 
-use er_parallel::baselines::tree_split::ProcShape;
-use er_parallel::baselines::{run_mwf, run_mwf_tt, run_pv_split, run_pv_split_tt};
 use er_parallel::{run_er_threads, run_er_threads_with, ErParallelConfig, ErThreadsResult, Hooks};
 use gametree::random::RandomTreeSpec;
 use gametree::tictactoe::TicTacToe;
 use gametree::{GamePosition, Window};
 use othello::OthelloPos;
-use problem_heap::CostModel;
-use search_serial::{negmax, OrderPolicy};
+use search_serial::negmax;
 use tt::{TranspositionTable, Zobrist};
 
 /// A full-window threaded run sharing `table`.
@@ -94,66 +91,6 @@ fn shared_table_across_consecutive_searches_still_exact() {
     assert_eq!(first.value, second.value);
     let s2 = second.tt.expect("tt stats");
     assert!(s2.hits > 0, "warm table must hit on the re-search: {s2:?}");
-}
-
-#[test]
-fn pv_split_tt_matches_plain() {
-    let shape = ProcShape {
-        branching: 2,
-        height: 2,
-    };
-    let cm = CostModel::default();
-    for seed in 0..4 {
-        let root = RandomTreeSpec::new(seed, 4, 6).root();
-        let plain = run_pv_split(&root, 6, shape, OrderPolicy::NATURAL, &cm);
-        let table = TranspositionTable::with_bits(14);
-        let with = run_pv_split_tt(&root, 6, shape, OrderPolicy::NATURAL, &cm, &table);
-        assert_eq!(with.value, plain.value, "seed {seed}");
-    }
-    let plain = run_pv_split(&TicTacToe::initial(), 9, shape, OrderPolicy::NATURAL, &cm);
-    let table = TranspositionTable::with_bits(16);
-    let with = run_pv_split_tt(
-        &TicTacToe::initial(),
-        9,
-        shape,
-        OrderPolicy::NATURAL,
-        &cm,
-        &table,
-    );
-    assert_eq!(with.value, plain.value);
-    // The master recursion above the frontier is too shallow for
-    // tic-tac-toe transpositions (ply >= 4); assert the table is used,
-    // not that it hits.
-    let s = table.stats();
-    assert!(
-        s.probes > 0 && s.stores > 0,
-        "pv-split never used table: {s:?}"
-    );
-}
-
-#[test]
-fn mwf_tt_matches_plain() {
-    let cm = CostModel::default();
-    for seed in 0..4 {
-        let root = RandomTreeSpec::new(seed, 4, 6).root();
-        let plain = run_mwf(&root, 6, 4, 3, OrderPolicy::NATURAL, &cm);
-        let table = TranspositionTable::with_bits(14);
-        let with = run_mwf_tt(&root, 6, 4, 3, OrderPolicy::NATURAL, &cm, &table);
-        assert_eq!(with.value, plain.value, "seed {seed}");
-    }
-    let plain = run_mwf(&TicTacToe::initial(), 9, 4, 4, OrderPolicy::NATURAL, &cm);
-    let table = TranspositionTable::with_bits(16);
-    let with = run_mwf_tt(
-        &TicTacToe::initial(),
-        9,
-        4,
-        4,
-        OrderPolicy::NATURAL,
-        &cm,
-        &table,
-    );
-    assert_eq!(with.value, plain.value);
-    assert!(table.stats().hits > 0, "tic-tac-toe mwf must hit");
 }
 
 #[test]

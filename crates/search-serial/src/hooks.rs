@@ -39,11 +39,10 @@ use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
 /// | `tracer`  | `()` | `&Tracer`                            |
 /// | `ord`     | `()` | `&OrderingTables`                    |
 ///
-/// An entry point accepts only the handles its back-end uses: negamax
-/// takes no ordering tables, and the simulator takes only a table and
-/// ordering tables. Attaching another handle is a type error, not a
-/// silent no-op. Metric sets are not handles: their owners fold a run's
-/// counters in after it returns.
+/// An entry point accepts only the handles its back-end uses: the
+/// simulator takes only a table and ordering tables. Attaching another
+/// handle is a type error, not a silent no-op. Metric sets are not
+/// handles: their owners fold a run's counters in after it returns.
 #[derive(Clone, Copy, Debug)]
 pub struct Hooks<T = (), C = (), R = (), O = ()> {
     /// Transposition table ([`TtAccess`]).
@@ -174,9 +173,11 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alphabeta::alphabeta_with;
     use crate::control::SearchControl;
-    use crate::negmax::negmax_with;
+    use crate::ordering::OrderPolicy;
     use gametree::random::RandomTreeSpec;
+    use gametree::Window;
     use trace::Tracer;
 
     #[test]
@@ -195,11 +196,8 @@ mod tests {
         let ctl = SearchControl::unlimited();
         ctl.cancel();
         let tracer = Tracer::new();
-        let r = negmax_with(
-            &root,
-            8,
-            Hooks::default().with_ctl(&ctl).with_tracer(&tracer),
-        );
+        let hooks = Hooks::default().with_ctl(&ctl).with_tracer(&tracer);
+        let r = alphabeta_with(&root, 8, Window::FULL, OrderPolicy::NATURAL, 0, hooks);
         assert!(r.aborted.is_some());
         let c = tracer.snapshot().counts();
         assert_eq!(c[EventKind::AbortTrip as usize], 1);

@@ -5,13 +5,12 @@
 //!   (§2.1), the serial baseline of the experiments;
 //! * [`nodeep::alphabeta_nodeep`] — alpha-beta without
 //!   deep cutoffs (§2.2), MWF's reference algorithm;
-//! * [`er::er_search`] — serial ER (Figure 8);
-//! * [`pvs::pvs`] — principal-variation (minimal-window) search, the
-//!   primitive behind the §4.4 footnote's pv-splitting variant.
+//! * [`er::er_search`] — serial ER (Figure 8).
 //!
-//! Each algorithm has one plain full-window entry and one hooked entry
-//! (`*_with`) that takes a window and a [`Hooks`] bundle carrying the
-//! optional table, control, tracer and ordering handles.
+//! Alpha-beta and serial ER each have one plain full-window entry and one
+//! hooked entry (`*_with`) that takes a window and a [`Hooks`] bundle
+//! carrying the optional table, control, tracer and ordering handles.
+//! Negamax, the oracle, takes no hooks.
 //!
 //! All algorithms return the same root value on the same tree (verified by
 //! the cross-crate property tests in the workspace `tests/` directory).
@@ -25,8 +24,6 @@ pub mod hooks;
 pub mod negmax;
 pub mod nodeep;
 pub mod ordering;
-pub mod pv;
-pub mod pvs;
 
 use gametree::{SearchStats, Value};
 
@@ -45,11 +42,9 @@ pub use control::{
 };
 pub use er::{er_eval_refute_with, er_search, er_search_with, ErConfig};
 pub use hooks::Hooks;
-pub use negmax::{negmax, negmax_with};
+pub use negmax::negmax;
 pub use nodeep::alphabeta_nodeep;
 pub use ordering::{
     note_cutoff, ordered_children_indexed, ordered_children_ranked, rank_children, rank_key,
     splice_hint, OrdAccess, OrderPolicy, OrderedChild, OrderingTables, SelectivityConfig,
 };
-pub use pv::{alphabeta_pv, PvResult};
-pub use pvs::{pvs, pvs_with};

@@ -3,89 +3,30 @@
 //! every other algorithm.
 
 use gametree::{GamePosition, SearchStats, Value};
-use trace::TraceAccess;
-use tt::{Bound, TtAccess};
 
-use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
-use crate::hooks::{run_serial, Hooks, SerialBody};
 use crate::SearchResult;
 
-/// Evaluates `pos` to `depth` plies by exhaustive negamax.
+/// Evaluates `pos` to `depth` plies by exhaustive negamax. The oracle
+/// every other search is checked against, so it takes no hooks: no table,
+/// control or tracer can change what it visits.
 pub fn negmax<P: GamePosition>(pos: &P, depth: u32) -> SearchResult {
-    negmax_with(pos, depth, Hooks::default()).into()
+    let mut stats = SearchStats::new();
+    let value = negmax_rec(pos, depth, &mut stats);
+    SearchResult { value, stats }
 }
 
-/// [`negmax`] with a table, a control and a tracer attached. Every node
-/// value is exact, so each position is stored `Exact` at its remaining
-/// depth and an equal-depth hit replays the whole subtree from memory.
-/// Negamax has no window and prunes nothing, so it takes no ordering
-/// tables. A run the control aborted flags itself via `aborted` and its
-/// value is partial.
-pub fn negmax_with<P, T, C, R>(pos: &P, depth: u32, hooks: Hooks<T, C, R>) -> CtlSearchResult
-where
-    P: GamePosition,
-    T: TtAccess<P>,
-    C: CtlHook,
-    R: TraceAccess,
-{
-    run_serial(hooks, Negmax { pos, depth })
-}
-
-/// The negamax recursion as a [`SerialBody`].
-struct Negmax<'a, P> {
-    pos: &'a P,
-    depth: u32,
-}
-
-impl<P: GamePosition> SerialBody<P> for Negmax<'_, P> {
-    fn run<T: TtAccess<P>, C: CtlAccess>(
-        self,
-        tt: T,
-        ctl: C,
-        stats: &mut SearchStats,
-    ) -> Result<Value, Value> {
-        negmax_rec(self.pos, self.depth, tt, ctl, stats).ok_or(Value::NEG_INF)
-    }
-}
-
-fn negmax_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess>(
-    pos: &P,
-    depth: u32,
-    tt: T,
-    ctl: C,
-    stats: &mut SearchStats,
-) -> Option<Value> {
-    if ctl.check().is_some() {
-        return None;
-    }
-    // Negamax has no window, so only an equal-depth Exact entry helps.
-    if let Some(p) = tt.probe(pos) {
-        if p.depth == depth && p.bound == Bound::Exact {
-            return Some(p.value);
-        }
-    }
+fn negmax_rec<P: GamePosition>(pos: &P, depth: u32, stats: &mut SearchStats) -> Value {
     let moves = pos.moves();
     if depth == 0 || moves.is_empty() {
         stats.leaf_nodes += 1;
         stats.eval_calls += 1;
-        let v = pos.evaluate();
-        tt.store(pos, depth, v, Bound::Exact, None);
-        return Some(v);
+        return pos.evaluate();
     }
     stats.interior_nodes += 1;
-    let mut m = Value::NEG_INF;
-    let mut best = None;
-    for (i, mv) in moves.iter().enumerate() {
-        // An abort below propagates before any store: partial values never
-        // reach the table.
-        let t = -negmax_rec(&pos.play(mv), depth - 1, tt, ctl, stats)?;
-        if t > m {
-            m = t;
-            best = Some(i as u16);
-        }
-    }
-    tt.store(pos, depth, m, Bound::Exact, best);
-    Some(m)
+    moves
+        .iter()
+        .map(|mv| -negmax_rec(&pos.play(mv), depth - 1, stats))
+        .fold(Value::NEG_INF, Value::max)
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@ use gametree::random::RandomTreeSpec;
 use gametree::Window;
 use proptest::prelude::*;
 use search_serial::{
-    alphabeta, alphabeta_with, er_search, er_search_with, negmax, negmax_with, pvs, pvs_with,
-    ErConfig, Hooks, OrderPolicy, SearchControl,
+    alphabeta, alphabeta_with, er_search, er_search_with, ErConfig, Hooks, OrderPolicy,
+    SearchControl,
 };
 
 const W: Window = Window::FULL;
@@ -30,20 +30,8 @@ proptest! {
         let ctl = SearchControl::unlimited();
         let h = Hooks::default().with_ctl(&ctl);
 
-        let r = negmax_with(&root, 32, h);
-        let base = negmax(&root, 32);
-        prop_assert!(r.is_complete());
-        prop_assert_eq!(r.value, base.value);
-        prop_assert_eq!(r.stats, base.stats);
-
         let r = alphabeta_with(&root, 32, W, OrderPolicy::NATURAL, 0, h);
         let base = alphabeta(&root, 32, OrderPolicy::NATURAL);
-        prop_assert!(r.is_complete());
-        prop_assert_eq!(r.value, base.value);
-        prop_assert_eq!(r.stats, base.stats);
-
-        let r = pvs_with(&root, 32, W, OrderPolicy::NATURAL, h);
-        let base = pvs(&root, 32, OrderPolicy::NATURAL);
         prop_assert!(r.is_complete());
         prop_assert_eq!(r.value, base.value);
         prop_assert_eq!(r.stats, base.stats);
@@ -65,19 +53,9 @@ proptest! {
         let ctl = SearchControl::unlimited();
         let h = Hooks::default().with_ctl(&ctl);
 
-        let r = negmax_with(&root, depth, h);
-        let base = negmax(&root, depth);
-        prop_assert_eq!(r.value, base.value);
-        prop_assert_eq!(r.stats, base.stats);
-
         for policy in [OrderPolicy::NATURAL, OrderPolicy::ALWAYS] {
             let r = alphabeta_with(&root, depth, W, policy, 0, h);
             let base = alphabeta(&root, depth, policy);
-            prop_assert_eq!(r.value, base.value);
-            prop_assert_eq!(r.stats, base.stats);
-
-            let r = pvs_with(&root, depth, W, policy, h);
-            let base = pvs(&root, depth, policy);
             prop_assert_eq!(r.value, base.value);
             prop_assert_eq!(r.stats, base.stats);
         }

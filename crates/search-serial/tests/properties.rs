@@ -4,11 +4,10 @@
 use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::ordered::OrderedTreeSpec;
 use gametree::random::RandomTreeSpec;
-use gametree::{GamePosition, Value, Window};
+use gametree::{Value, Window};
 use proptest::prelude::*;
 use search_serial::{
-    alphabeta, alphabeta_nodeep, alphabeta_pv, alphabeta_with, er_search, negmax, ErConfig, Hooks,
-    OrderPolicy,
+    alphabeta, alphabeta_nodeep, alphabeta_with, er_search, negmax, ErConfig, Hooks, OrderPolicy,
 };
 
 fn arb_tree() -> impl Strategy<Value = TreeSpec> {
@@ -73,23 +72,6 @@ proptest! {
         prop_assert!(alphabeta(&root, 32, OrderPolicy::NATURAL).stats.nodes() <= full);
         prop_assert!(alphabeta_nodeep(&root, 32, OrderPolicy::NATURAL).stats.nodes() <= full);
         prop_assert!(er_search(&root, 32, ErConfig::NATURAL).stats.nodes() <= full);
-    }
-
-    #[test]
-    fn pv_line_is_playable_and_realizes_value(spec in arb_tree()) {
-        let root = ArenaTree::root_of(&spec);
-        let r = alphabeta_pv(&root, 32, OrderPolicy::NATURAL);
-        prop_assert_eq!(r.value, negmax(&root, 32).value);
-        // The line must be legal move-by-move.
-        let mut pos = root;
-        for mv in &r.pv {
-            prop_assert!(pos.moves().contains(mv), "illegal PV move");
-            pos = pos.play(mv);
-        }
-        // And its endpoint realizes the root value (sign-adjusted).
-        let v = pos.evaluate();
-        let signed = if r.pv.len().is_multiple_of(2) { v } else { -v };
-        prop_assert_eq!(signed, r.value);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
 use proptest::prelude::*;
-use search_serial::{
-    alphabeta_with, er_search_with, negmax, negmax_with, pvs_with, ErConfig, Hooks, OrderPolicy,
-};
+use search_serial::{alphabeta_with, er_search_with, negmax, ErConfig, Hooks, OrderPolicy};
 use tt::TranspositionTable;
 
 const W: Window = Window::FULL;
@@ -26,12 +24,10 @@ proptest! {
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(bits);
         let h = Hooks::default().with_tt(&table);
-        prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
             alphabeta_with(&root, depth, W, OrderPolicy::NATURAL, 0, h).value,
             exact
         );
-        prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::NATURAL, h).value, exact);
         prop_assert_eq!(
             er_search_with(&root, depth, W, ErConfig::NATURAL, 0, h).value,
             exact
@@ -49,12 +45,10 @@ proptest! {
         let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(2);
         let h = Hooks::default().with_tt(&table);
-        prop_assert_eq!(negmax_with(&root, depth, h).value, exact);
         prop_assert_eq!(
             alphabeta_with(&root, depth, W, OrderPolicy::ALWAYS, 0, h).value,
             exact
         );
-        prop_assert_eq!(pvs_with(&root, depth, W, OrderPolicy::ALWAYS, h).value, exact);
         prop_assert_eq!(
             er_search_with(&root, depth, W, ErConfig::NATURAL, 0, h).value,
             exact

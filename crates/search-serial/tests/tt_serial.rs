@@ -7,8 +7,7 @@ use gametree::ordered::OrderedTreeSpec;
 use gametree::tictactoe::TicTacToe;
 use gametree::{Value, Window};
 use search_serial::{
-    alphabeta, alphabeta_with, er_search, er_search_with, negmax, negmax_with, pvs, pvs_with,
-    ErConfig, Hooks, OrderPolicy,
+    alphabeta, alphabeta_with, er_search, er_search_with, negmax, ErConfig, Hooks, OrderPolicy,
 };
 use tt::TranspositionTable;
 
@@ -21,19 +20,12 @@ fn all_tt_backends_agree_with_the_table_free_searches_on_ordered_trees() {
     for seed in 0..6 {
         let root = OrderedTreeSpec::strongly_ordered(seed, 4, 6).root();
         let depth = 6;
-        let exact = negmax(&root, depth).value;
         let table = TranspositionTable::with_bits(14);
         let h = Hooks::default().with_tt(&table);
-        assert_eq!(negmax_with(&root, depth, h).value, exact, "negmax");
         assert_eq!(
             alphabeta_with(&root, depth, W, ALWAYS, 0, h).value,
             alphabeta(&root, depth, ALWAYS).value,
             "alphabeta seed {seed}"
-        );
-        assert_eq!(
-            pvs_with(&root, depth, W, ALWAYS, h).value,
-            pvs(&root, depth, ALWAYS).value,
-            "pvs seed {seed}"
         );
         assert_eq!(
             er_search_with(&root, depth, W, NATURAL, 0, h).value,
@@ -79,24 +71,22 @@ fn a_one_bucket_table_stays_correct_under_constant_eviction() {
         let exact = negmax(&root, 5).value;
         assert_eq!(er_search_with(&root, 5, W, NATURAL, 0, h).value, exact);
         assert_eq!(alphabeta_with(&root, 5, W, ALWAYS, 0, h).value, exact);
-        assert_eq!(negmax_with(&root, 5, h).value, exact);
     }
 }
 
 #[test]
 fn cross_algorithm_sharing_is_sound() {
-    // negmax fills the table with Exact entries; every other back-end then
-    // searches through those entries and must stay exact.
+    // Alpha-beta fills the table with bounds; serial ER then searches
+    // through those entries and must stay exact.
     let p = TicTacToe::initial();
     let table = TranspositionTable::with_bits(16);
     let h = Hooks::default().with_tt(&table);
-    let exact = negmax_with(&p, 9, h).value;
+    let exact = negmax(&p, 9).value;
     assert_eq!(exact, Value::ZERO);
     assert_eq!(
         alphabeta_with(&p, 9, W, OrderPolicy::NATURAL, 0, h).value,
         exact
     );
-    assert_eq!(pvs_with(&p, 9, W, OrderPolicy::NATURAL, h).value, exact);
     assert_eq!(er_search_with(&p, 9, W, NATURAL, 0, h).value, exact);
 }
 

@@ -14,7 +14,7 @@
 //! * [`othello`] — bitboard Othello engine and the O1–O3 benchmark roots;
 //! * [`checkers`] — English draughts (Fishburn's tree-splitting workload);
 //! * [`search_serial`] — negmax, alpha-beta (with and without deep
-//!   cutoffs), principal-variation search, and serial ER (paper Figure 8);
+//!   cutoffs), and serial ER (paper Figure 8);
 //! * [`problem_heap`] — deterministic k-processor problem-heap simulation,
 //!   performance metrics, and the threaded back-end's execution
 //!   primitives: bounded work-stealing deques and a lock-free publication
@@ -185,8 +185,8 @@ pub mod prelude {
     pub use problem_heap::{CostModel, SimReport};
     pub use search_serial::{
         alphabeta, alphabeta_nodeep, alphabeta_with, er_search, er_search_with, negmax,
-        negmax_with, pvs, pvs_with, CtlSearchResult, ErConfig, Hooks, OrderPolicy, OrderingTables,
-        SearchResult, SelectivityConfig,
+        CtlSearchResult, ErConfig, Hooks, OrderPolicy, OrderingTables, SearchResult,
+        SelectivityConfig,
     };
     pub use trace::{
         chrome_json, EventKind, SearchReport, SpecSplit, TraceAccess, TraceData, Tracer,

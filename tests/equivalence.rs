@@ -85,20 +85,12 @@ fn all_values<P: GamePosition>(
         run_root_split(pos, depth, 4, order, &cost).value,
     ));
     out.push((
-        "pvs".to_string(),
-        search_serial::pvs(pos, depth, order).value,
-    ));
-    out.push((
         "aspiration".to_string(),
         serial_deepening(pos, depth, 100, order, false),
     ));
     out.push((
         "iterative deepening".to_string(),
         serial_deepening(pos, depth, 50, order, true),
-    ));
-    out.push((
-        "alphabeta with pv".to_string(),
-        search_serial::alphabeta_pv(pos, depth, order).value,
     ));
     out
 }
