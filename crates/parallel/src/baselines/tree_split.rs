@@ -92,8 +92,8 @@ fn split<P: GamePosition>(
     start: u64,
 ) -> (Value, u64) {
     if height == 0 || depth == 0 {
-        // Leaf processor: plain serial alpha-beta.
-        let r = alphabeta_with(pos, depth, window, ctx.order, 0, Hooks::default());
+        // Leaf processor: plain serial alpha-beta from this node's ply.
+        let r = alphabeta_with(pos, depth, window, ctx.order, ply, Hooks::default());
         ctx.stats.merge(&r.stats);
         return (r.value, start + ctx.cost.serial_ticks(&r.stats));
     }
@@ -168,15 +168,17 @@ pub fn run_tree_split<P: GamePosition>(
     order: OrderPolicy,
     cost: &CostModel,
 ) -> TreeSplitResult {
-    run_tree_split_window(pos, depth, Window::FULL, shape, order, cost)
+    run_tree_split_window(pos, depth, Window::FULL, 0, shape, order, cost)
 }
 
-/// Tree-splitting with an explicit initial window (used by pv-splitting
-/// for its bounded sibling searches).
+/// Tree-splitting with an explicit initial window, of a subtree whose root
+/// sits `ply` plies below the game root (used by pv-splitting for its
+/// frontier and its bounded sibling searches).
 pub fn run_tree_split_window<P: GamePosition>(
     pos: &P,
     depth: u32,
     window: Window,
+    ply: u32,
     shape: ProcShape,
     order: OrderPolicy,
     cost: &CostModel,
@@ -191,7 +193,7 @@ pub fn run_tree_split_window<P: GamePosition>(
         pos,
         depth,
         window,
-        0,
+        ply,
         shape.branching,
         shape.height,
         0,

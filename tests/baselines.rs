@@ -2,7 +2,8 @@
 //! reproduces the failure mode the paper cites for it.
 
 use er_parallel::baselines::{
-    run_aspiration_guess, run_mwf, run_pv_split, run_root_split, run_tree_split, ProcShape,
+    run_aspiration_guess, run_mwf, run_pv_split, run_pv_split_mw, run_root_split, run_tree_split,
+    ProcShape,
 };
 use er_search::prelude::*;
 
@@ -26,6 +27,37 @@ fn aspiration_speedup_is_bounded_by_window_quality() {
         speedup < 1.3,
         "best-first trees admit no aspiration speedup, got {speedup:.2}"
     );
+}
+
+#[test]
+fn subtrees_below_the_root_sort_at_their_real_ply() {
+    // With `sort_ply_limit: 1` only the root's children may be sorted. A
+    // serial unit or split searched below the root must start at its own
+    // ply, or it sorts again as if it were the root.
+    let cm = CostModel::default();
+    let root_only = OrderPolicy { sort_ply_limit: 1 };
+    let root = OrderedTreeSpec::strongly_ordered(5, 4, 6).root();
+    let shape = ProcShape {
+        branching: 2,
+        height: 2,
+    };
+    for (name, stats) in [
+        ("MWF", run_mwf(&root, 6, 4, 3, root_only, &cm).stats),
+        (
+            "tree-splitting",
+            run_tree_split(&root, 6, shape, root_only, &cm).stats,
+        ),
+        (
+            "pv-splitting",
+            run_pv_split(&root, 6, shape, root_only, &cm).stats,
+        ),
+        (
+            "pv-splitting (minimal window)",
+            run_pv_split_mw(&root, 6, shape, root_only, &cm).stats,
+        ),
+    ] {
+        assert_eq!(stats.sorts, 1, "{name}: only the root sorts");
+    }
 }
 
 #[test]
