@@ -9,7 +9,7 @@ use tt::{Bound, TtAccess};
 
 use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
 use crate::hooks::{run_serial, Hooks, SerialBody};
-use crate::ordering::{note_cutoff, ordered_children_ranked, splice_hint, OrdAccess, OrderPolicy};
+use crate::ordering::{note_cutoff, Children, OrdAccess, OrderPolicy};
 use crate::SearchResult;
 
 /// Full-window alpha-beta evaluation of `pos` to `depth` plies.
@@ -122,7 +122,9 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     if ctl.check().is_some() {
         return None;
     }
-    if depth == 0 || pos.degree() == 0 {
+    // Generated once: the terminal test and the children both read it.
+    let moves = if depth == 0 { Vec::new() } else { pos.moves() };
+    if moves.is_empty() {
         stats.leaf_nodes += 1;
         stats.eval_calls += 1;
         let v = pos.evaluate();
@@ -139,18 +141,18 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
         None => None,
     };
     stats.interior_nodes += 1;
-    let mut kids = ordered_children_ranked(pos, ply, policy, ord, stats);
-    if splice_hint(&mut kids, hint) {
+    let (kids, hinted) = Children::new(pos, moves, ply, policy, ord, hint, stats);
+    if hinted {
         tt.note_hint_used();
     }
     let mut m = Value::NEG_INF;
     let mut best = None;
     let mut w = window;
-    for child in &kids {
+    for (nat, child) in kids {
         // An abort below propagates before any store: partial values never
         // reach the table.
         let t = -ab_rec(
-            &child.pos,
+            &child,
             depth - 1,
             w.negate(),
             ply + 1,
@@ -162,12 +164,12 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
         )?;
         if t > m {
             m = t;
-            best = Some(child.nat);
+            best = Some(nat);
         }
         w = w.raise_alpha(m);
         if m >= window.beta {
             stats.cutoffs += 1;
-            note_cutoff(ord, ply, depth, child.nat, stats);
+            note_cutoff(ord, ply, depth, nat, stats);
             tt.store(pos, depth, m, Bound::Lower, best);
             return Some(m);
         }
@@ -180,10 +182,15 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
 mod tests {
     use super::*;
     use crate::negmax::negmax;
+    use crate::ordering::{rank_children, splice_hint, OrderedChild, OrderingTables};
+    use checkers::CheckersPos;
     use gametree::arena::{leaf, node, ArenaTree};
     use gametree::minimal::minimal_leaf_count;
     use gametree::ordered::OrderedTreeSpec;
-    use gametree::random::RandomTreeSpec;
+    use gametree::random::{splitmix64, RandomTreeSpec};
+    use gametree::tictactoe::TicTacToe;
+    use othello::OthelloPos;
+    use tt::{TranspositionTable, Zobrist};
 
     fn window<P: GamePosition>(root: &P, depth: u32, w: Window) -> Value {
         alphabeta_with(root, depth, w, OrderPolicy::NATURAL, 0, Hooks::default()).value
@@ -306,6 +313,165 @@ mod tests {
             let w = Window::new(Value::new(exact.get() - 5), Value::new(exact.get() + 5));
             assert_eq!(window(&root, 4, w), exact, "seed {seed}");
         }
+    }
+
+    /// The recursion before lazy children: materializes `children()` in
+    /// full at every interior node, then sorts, ranks and splices the hint.
+    #[allow(clippy::too_many_arguments)]
+    fn reference<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
+        pos: &P,
+        depth: u32,
+        window: Window,
+        ply: u32,
+        policy: OrderPolicy,
+        tt: T,
+        ord: O,
+        stats: &mut SearchStats,
+    ) -> Value {
+        let children = if depth == 0 {
+            Vec::new()
+        } else {
+            pos.children()
+        };
+        if children.is_empty() {
+            stats.leaf_nodes += 1;
+            stats.eval_calls += 1;
+            let v = pos.evaluate();
+            tt.store(pos, depth, v, Bound::Exact, None);
+            return v;
+        }
+        let hint = match tt.probe(pos) {
+            Some(p) => {
+                if let Some(v) = p.cutoff(depth, window) {
+                    return v;
+                }
+                p.hint
+            }
+            None => None,
+        };
+        stats.interior_nodes += 1;
+        let mut kids: Vec<OrderedChild<P>> = children
+            .into_iter()
+            .enumerate()
+            .map(|(i, pos)| OrderedChild {
+                nat: i as u16,
+                pos,
+                static_eval: None,
+            })
+            .collect();
+        if policy.sorts_at(ply) && kids.len() > 1 {
+            for k in &mut kids {
+                stats.eval_calls += 1;
+                k.static_eval = Some(k.pos.evaluate());
+            }
+            stats.sorts += 1;
+            kids.sort_by_key(|k| (k.static_eval, k.nat));
+        }
+        rank_children(&mut kids, ply, ord);
+        if splice_hint(&mut kids, hint) {
+            tt.note_hint_used();
+        }
+        let (mut m, mut best, mut w) = (Value::NEG_INF, None, window);
+        for k in &kids {
+            let t = -reference(
+                &k.pos,
+                depth - 1,
+                w.negate(),
+                ply + 1,
+                policy,
+                tt,
+                ord,
+                stats,
+            );
+            if t > m {
+                m = t;
+                best = Some(k.nat);
+            }
+            w = w.raise_alpha(m);
+            if m >= window.beta {
+                stats.cutoffs += 1;
+                note_cutoff(ord, ply, depth, k.nat, stats);
+                tt.store(pos, depth, m, Bound::Lower, best);
+                return m;
+            }
+        }
+        tt.store(pos, depth, m, fail_soft_bound(m, window), best);
+        m
+    }
+
+    /// Runs `alphabeta_with` and the reference side by side over the full,
+    /// a narrow and a null window around the root's value, each side on
+    /// its own fresh table or ordering tables (shared across its three
+    /// windows), and demands the same values, stats and table counters.
+    fn assert_matches_reference<P: GamePosition + Zobrist>(name: &str, root: &P, depth: u32) {
+        let exact = negmax(root, depth).value.get();
+        let windows = [
+            Window::FULL,
+            Window::new(Value::new(exact - 20), Value::new(exact + 20)),
+            Window::new(Value::new(exact - 1), Value::new(exact)),
+        ];
+        for policy in [OrderPolicy::NATURAL, OrderPolicy::OTHELLO] {
+            for ply in [0, 3] {
+                let case = |w: Window| format!("{name} {policy:?} ply {ply} {w:?}");
+                let check = |w: Window, got: CtlSearchResult, want: Value, stats: SearchStats| {
+                    assert_eq!(got.value, want.max(w.alpha), "{}", case(w));
+                    assert_eq!(got.stats, stats, "{}", case(w));
+                };
+                let (t_new, t_ref) = (
+                    TranspositionTable::with_bits(12),
+                    TranspositionTable::with_bits(12),
+                );
+                let (o_new, o_ref) = (OrderingTables::new(), OrderingTables::new());
+                for w in windows {
+                    let mut s = SearchStats::new();
+                    let v = reference(root, depth, w, ply, policy, (), (), &mut s);
+                    let got = alphabeta_with(root, depth, w, policy, ply, Hooks::default());
+                    check(w, got, v, s);
+
+                    let mut s = SearchStats::new();
+                    let v = reference(root, depth, w, ply, policy, &t_ref, (), &mut s);
+                    let hooks = Hooks::default().with_tt(&t_new);
+                    check(w, alphabeta_with(root, depth, w, policy, ply, hooks), v, s);
+                    assert_eq!(t_new.stats(), t_ref.stats(), "{}", case(w));
+
+                    let mut s = SearchStats::new();
+                    let v = reference(root, depth, w, ply, policy, (), &o_ref, &mut s);
+                    let hooks = Hooks::default().with_ord(&o_new);
+                    check(w, alphabeta_with(root, depth, w, policy, ply, hooks), v, s);
+                }
+            }
+        }
+    }
+
+    /// The position `plies` pseudo-random moves after `pos` (fewer if the
+    /// game ends first).
+    fn walk<P: GamePosition>(mut pos: P, seed: u64, plies: u64) -> P {
+        for i in 0..plies {
+            let moves = pos.moves();
+            if moves.is_empty() {
+                break;
+            }
+            let pick = splitmix64(seed ^ (i << 8)) as usize % moves.len();
+            pos = pos.play(&moves[pick]);
+        }
+        pos
+    }
+
+    #[test]
+    fn lazy_children_match_a_materializing_reference() {
+        for seed in 0..3 {
+            let root = RandomTreeSpec::new(seed, 4, 6).root();
+            assert_matches_reference(&format!("random {seed}"), &root, 5);
+        }
+        for seed in 0..3 {
+            let root = walk(OthelloPos::initial(), seed, 8 + 4 * seed);
+            assert_matches_reference(&format!("othello {seed}"), &root, 4);
+            let root = walk(CheckersPos::initial(), seed, 6 + 4 * seed);
+            assert_matches_reference(&format!("checkers {seed}"), &root, 5);
+        }
+        // Games end inside the search: terminal nodes above the horizon.
+        let root = walk(TicTacToe::initial(), 1, 2);
+        assert_matches_reference("tic-tac-toe", &root, 7);
     }
 
     #[test]
