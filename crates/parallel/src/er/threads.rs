@@ -338,7 +338,11 @@ where
         let waiting = Instant::now();
         let mut g = pool.lock();
         let waited = waiting.elapsed().as_nanos() as u64;
-        let holding = Instant::now();
+        // The hold clock runs only while the lock is held: a park releases
+        // it, so each park closes one hold segment and the wake opens the
+        // next.
+        let mut holding = Instant::now();
+        let mut held = 0u64;
         self.counters.lock_acquisitions += 1;
         self.counters.lock_wait_nanos += waited;
         self.wtr.span_at(EventKind::LockWait, waiting, waited, 0);
@@ -362,7 +366,9 @@ where
                 self.steal_pass = false;
                 break;
             }
+            held += self.hold_segment(holding, 0);
             g = self.park(g);
+            holding = Instant::now();
         }
         let done = pool.is_done();
         if !done {
@@ -379,15 +385,21 @@ where
             self.wtr.instant(EventKind::QueueDepth, depth);
         }
         let refilled = self.take.len();
-        let hold = holding.elapsed().as_nanos() as u64;
-        self.counters.lock_hold_nanos += hold;
         let arg = if done { 0 } else { refilled as u32 };
-        self.wtr.span_at(EventKind::LockHold, holding, hold, arg);
+        self.counters.lock_hold_nanos += held + self.hold_segment(holding, arg);
         drop(g);
         // The distribution is recorded outside the critical section, once
         // per acquisition.
         self.counters.lock_waits.record(waited);
         (!done).then_some((waited, refilled))
+    }
+
+    /// Ends a stretch of holding the lock that began at `from`: traces it
+    /// as one `LockHold` span and returns its length.
+    fn hold_segment(&self, from: Instant, arg: u32) -> u64 {
+        let hold = from.elapsed().as_nanos() as u64;
+        self.wtr.span_at(EventKind::LockHold, from, hold, arg);
+        hold
     }
 
     /// Tops the take up to the batch target, publishing each selected
@@ -813,6 +825,28 @@ mod tests {
         // a run that applied thousands of outcomes.
         assert!(c.lock_hold_nanos > 0);
         assert!(c.mean_lock_wait_nanos() >= 0.0);
+    }
+
+    #[test]
+    fn lock_hold_excludes_parked_time() {
+        // The heap mutex admits one holder at a time, so the threads' hold
+        // times are disjoint stretches of the run: their sum cannot exceed
+        // the wall time. A high serial depth leaves few, long jobs, and
+        // most of 8 workers park on the condvar, which releases the lock.
+        let mut parks = 0;
+        for seed in 0..4 {
+            let root = RandomTreeSpec::new(seed, 4, 9).root();
+            let r = run_er_threads(&root, 9, 8, &ErParallelConfig::random_tree(7));
+            let c = r.counters();
+            parks += c.idle_parks;
+            assert!(
+                c.lock_hold_nanos <= r.elapsed.as_nanos() as u64,
+                "seed {seed}: summed hold {} ns exceeds wall {} ns",
+                c.lock_hold_nanos,
+                r.elapsed.as_nanos()
+            );
+        }
+        assert!(parks > 0, "the runs must park to test anything");
     }
 
     #[test]
