@@ -97,7 +97,13 @@ fn pv_rec<P: GamePosition>(
         branching: ctx.shape.branching,
         height: ctx.shape.height.saturating_sub(1),
     };
-    let slaves = ctx.shape.branching;
+    // A lone processor (height 0) has no slaves: it searches the siblings
+    // itself, one at a time.
+    let slaves = if ctx.shape.height == 0 {
+        1
+    } else {
+        ctx.shape.branching
+    };
     let mut pending: BinaryHeap<Reverse<(u64, usize, i64)>> = BinaryHeap::new();
     let mut next = 1usize;
     let mut seq = 0usize;
@@ -218,6 +224,7 @@ fn run_pv_split_impl<P: GamePosition>(
 
 #[cfg(test)]
 mod tests {
+    use super::super::tree_split::run_tree_split;
     use super::*;
     use gametree::ordered::OrderedTreeSpec;
     use gametree::random::RandomTreeSpec;
@@ -305,12 +312,34 @@ mod tests {
             pv += run_pv_split(&root, 8, shape, OrderPolicy::ALWAYS, &cm)
                 .stats
                 .nodes();
-            ts +=
-                super::super::tree_split::run_tree_split(&root, 8, shape, OrderPolicy::ALWAYS, &cm)
-                    .stats
-                    .nodes();
+            ts += run_tree_split(&root, 8, shape, OrderPolicy::ALWAYS, &cm)
+                .stats
+                .nodes();
         }
         assert!(pv < ts, "pv-splitting must prune better: {pv} vs {ts}");
+    }
+
+    #[test]
+    fn one_processor_is_no_faster_than_its_own_serial_work() {
+        // One processor runs every node it examines back to back, so its
+        // makespan is at least the serial time of those nodes.
+        let cm = CostModel::default();
+        let shape = ProcShape::best_for(1);
+        for seed in 0..4 {
+            let root = RandomTreeSpec::new(seed, 4, 7).root();
+            let ts = run_tree_split(&root, 7, shape, OrderPolicy::NATURAL, &cm);
+            assert_eq!(ts.makespan, cm.serial_ticks(&ts.stats), "seed {seed}");
+            let pv = run_pv_split(&root, 7, shape, OrderPolicy::NATURAL, &cm);
+            let mw = run_pv_split_mw(&root, 7, shape, OrderPolicy::NATURAL, &cm);
+            for (name, r) in [("pv", pv), ("pv-mw", mw)] {
+                let serial = cm.serial_ticks(&r.stats);
+                assert!(
+                    r.makespan >= serial,
+                    "{name} seed {seed}: makespan {} under serial {serial}",
+                    r.makespan
+                );
+            }
+        }
     }
 
     #[test]
