@@ -806,8 +806,9 @@ fn scaling() {
     }
     // Judged over the >=4-thread rows: a single steal is scheduling luck;
     // an aggregate of zero across every contended run means the layer is
-    // dead. Per-row root values and the zero-clones-under-the-lock
-    // invariant are asserted inside `scaling_rows` itself.
+    // dead. Per-row root values are asserted inside `scaling_rows` itself.
+    // Nothing here counts position clones: the threaded back-end has none
+    // to count, since each position is moved into the tree's slab once.
     if threads.iter().any(|&t| t >= 4) {
         let hits: u64 = rows
             .iter()

@@ -196,19 +196,34 @@ impl Board {
     /// All legal moves for the mover. Captures are compulsory: if any
     /// jump exists, only jumps are returned.
     pub fn legal_moves(&self) -> Vec<Move> {
+        let mut moves = Vec::new();
+        self.legal_moves_into(&mut moves);
+        moves
+    }
+
+    /// Appends [`legal_moves`](Board::legal_moves) to `out`, reserving
+    /// exactly the room they take.
+    pub fn legal_moves_into(&self, out: &mut Vec<Move>) {
         let mut jumps = Vec::new();
+        let mut path = Vec::new();
         let mut pieces = self.own();
         while pieces != 0 {
             let sq = pieces.trailing_zeros() as u8;
             pieces &= pieces - 1;
             let king = self.own_kings & (1 << sq) != 0;
-            let mut path = vec![sq];
+            path.clear();
+            path.push(sq);
             self.extend_jumps(sq, king, &mut path, 0, &mut jumps);
         }
         if !jumps.is_empty() {
-            return jumps;
+            out.reserve_exact(jumps.len());
+            out.append(&mut jumps);
+            return;
         }
-        let mut moves = Vec::new();
+        // At most 12 pieces with 4 directions each: stage the quiet moves
+        // on the stack so `out` grows once, by their exact number.
+        let mut quiet = [(0u8, 0u8); 48];
+        let mut n = 0;
         let empty = self.empty();
         let mut pieces = self.own();
         while pieces != 0 {
@@ -217,15 +232,17 @@ impl Board {
             for &d in self.piece_dirs(sq) {
                 if let Some(to) = step(sq, d) {
                     if empty & (1 << to) != 0 {
-                        moves.push(Move {
-                            path: vec![sq, to],
-                            captures: 0,
-                        });
+                        quiet[n] = (sq, to);
+                        n += 1;
                     }
                 }
             }
         }
-        moves
+        out.reserve_exact(n);
+        out.extend(quiet[..n].iter().map(|&(sq, to)| Move {
+            path: vec![sq, to],
+            captures: 0,
+        }));
     }
 
     /// Plays `mv`, returning the position with the opponent to move (board

@@ -103,11 +103,11 @@ pub fn evaluate(board: &Board) -> Value {
 impl GamePosition for CheckersPos {
     type Move = Move;
 
-    fn moves(&self) -> Vec<Move> {
-        if self.is_draw() {
-            return Vec::new(); // drawn: terminal, like a double-pass
+    fn moves_into(&self, out: &mut Vec<Move>) {
+        if !self.is_draw() {
+            // Drawn: terminal, like a double-pass.
+            self.board.legal_moves_into(out);
         }
-        self.board.legal_moves()
     }
 
     fn play(&self, mv: &Move) -> CheckersPos {

@@ -163,8 +163,10 @@ impl PartialEq for ArenaPos {
 impl GamePosition for ArenaPos {
     type Move = u32;
 
-    fn moves(&self) -> Vec<u32> {
-        (0..self.tree.nodes[self.node as usize].children.len() as u32).collect()
+    fn moves_into(&self, out: &mut Vec<u32>) {
+        let degree = self.degree();
+        out.reserve_exact(degree);
+        out.extend(0..degree as u32);
     }
 
     fn play(&self, mv: &u32) -> ArenaPos {

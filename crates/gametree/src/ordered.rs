@@ -101,11 +101,10 @@ impl OrderedPos {
 impl GamePosition for OrderedPos {
     type Move = u32;
 
-    fn moves(&self) -> Vec<u32> {
-        if self.depth >= self.spec.height {
-            Vec::new()
-        } else {
-            (0..self.spec.degree).collect()
+    fn moves_into(&self, out: &mut Vec<u32>) {
+        if self.depth < self.spec.height {
+            out.reserve_exact(self.spec.degree as usize);
+            out.extend(0..self.spec.degree);
         }
     }
 

@@ -13,12 +13,25 @@ pub trait GamePosition: Clone + Send + Sync {
     /// A move from this position.
     type Move: Clone + Send + Sync + std::fmt::Debug;
 
-    /// All legal moves. An empty vector means the game is over here.
+    /// Appends all legal moves to `out`, leaving what `out` already holds
+    /// untouched. Appending none means the game is over here.
     ///
-    /// The order of the returned moves is the engine's *natural* order;
-    /// search algorithms may re-order children (e.g. by static value)
-    /// according to their ordering policy.
-    fn moves(&self) -> Vec<Self::Move>;
+    /// This is each game's one move generator. The order of the appended
+    /// moves is the engine's *natural* order; search algorithms may
+    /// re-order children (e.g. by static value) according to their
+    /// ordering policy. Implementations reserve exactly the room they
+    /// need (`reserve_exact`) before pushing, so [`moves`](Self::moves)
+    /// allocates once with exact capacity; a search that appends every
+    /// node's moves to one stack keeps its own headroom instead.
+    fn moves_into(&self, out: &mut Vec<Self::Move>);
+
+    /// All legal moves in a fresh vector whose capacity equals its length.
+    /// An empty vector means the game is over here.
+    fn moves(&self) -> Vec<Self::Move> {
+        let mut out = Vec::new();
+        self.moves_into(&mut out);
+        out
+    }
 
     /// The position reached by playing `mv`.
     fn play(&self, mv: &Self::Move) -> Self;
@@ -60,11 +73,10 @@ mod tests {
     impl GamePosition for Doubling {
         type Move = i32;
 
-        fn moves(&self) -> Vec<i32> {
+        fn moves_into(&self, out: &mut Vec<i32>) {
             if self.0 < 4 {
-                vec![0, 1]
-            } else {
-                Vec::new()
+                out.reserve_exact(2);
+                out.extend([0, 1]);
             }
         }
 

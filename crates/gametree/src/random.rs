@@ -101,12 +101,10 @@ impl RandomPos {
 impl GamePosition for RandomPos {
     type Move = u32;
 
-    fn moves(&self) -> Vec<u32> {
-        if self.depth >= self.spec.height {
-            Vec::new()
-        } else {
-            (0..self.spec.degree).collect()
-        }
+    fn moves_into(&self, out: &mut Vec<u32>) {
+        let degree = self.degree();
+        out.reserve_exact(degree);
+        out.extend(0..degree as u32);
     }
 
     fn play(&self, mv: &u32) -> RandomPos {

@@ -78,14 +78,15 @@ impl TicTacToe {
 impl GamePosition for TicTacToe {
     type Move = u8;
 
-    fn moves(&self) -> Vec<u8> {
+    fn moves_into(&self, out: &mut Vec<u8>) {
         // The game ends as soon as a line is completed; the side to move
         // can never itself have a line (it would have ended the game).
         if self.opponent_won() {
-            return Vec::new();
+            return;
         }
         let occupied = self.own | self.opp;
-        (0..9).filter(|&i| occupied & (1 << i) == 0).collect()
+        out.reserve_exact(9 - occupied.count_ones() as usize);
+        out.extend((0..9).filter(|&i| occupied & (1 << i) == 0));
     }
 
     fn play(&self, mv: &u8) -> TicTacToe {

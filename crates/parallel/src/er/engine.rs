@@ -27,7 +27,7 @@ use std::cmp::Reverse;
 use std::sync::Arc;
 
 use gametree::{GamePosition, SearchStats, Value, Window};
-use problem_heap::{simulate, HeapWorker, StableQueue, TakenWork};
+use problem_heap::{simulate, HeapWorker, PublishSlab, StableQueue, TakenWork};
 use search_serial::alphabeta_with;
 use search_serial::control::CtlHook;
 use search_serial::er::{er_eval_refute_with, er_search_with, ErConfig};
@@ -54,10 +54,9 @@ pub enum Frontier {
 
 /// What must be computed for a taken node, outside the heap lock.
 ///
-/// Tasks carry no position: the executor borrows (simulator) or clones
-/// (threaded back-end) the node's position only when [`Task::needs_pos`]
-/// says the task actually reads it, so bookkeeping-only tasks and
-/// cached-leaf hits never pay for a position copy.
+/// Tasks carry no position: the executor borrows the node's position from
+/// the tree's slab, where it was published when the node's id was
+/// reserved, and only when [`Task::needs_pos`] says the task reads it.
 #[allow(missing_docs)]
 #[derive(Clone, Copy, Debug)]
 pub enum Task {
@@ -94,9 +93,8 @@ pub enum Task {
 }
 
 impl Task {
-    /// True iff [`execute_task`] reads the node's position for this task.
-    /// The threaded back-end clones the position (under the lock) only when
-    /// this holds; `NextChild`/`ExpandRest`/`CachedLeaf` skip the copy.
+    /// True iff [`execute_task`] reads the node's position for this task;
+    /// `NextChild`/`ExpandRest`/`CachedLeaf` never touch it.
     pub fn needs_pos(&self) -> bool {
         match self {
             Task::Leaf | Task::Movegen { .. } | Task::Serial { .. } => true,
@@ -123,14 +121,12 @@ pub enum Outcome<P: GamePosition> {
     /// an examined leaf but charges no evaluator call.
     CachedLeaf(Value),
     /// Generated children in search order, the static values computed for
-    /// sorting (memoized onto spawned children), the natural (pre-sort)
-    /// index of each child, and the evaluator calls charged for sorting.
-    /// Children arrive pre-wrapped in [`Arc`] — the executor pays the
-    /// allocation outside the lock; `apply` just moves the handles in.
+    /// sorting (memoized onto the reserved children), and the evaluator
+    /// calls charged for sorting. `apply` moves each position once into
+    /// the tree's slab.
     Moves {
-        kids: Vec<Arc<P>>,
+        kids: Vec<P>,
         evals: Option<Vec<Value>>,
-        nats: Vec<u16>,
         sort_evals: u64,
     },
     /// `NextChild` / `ExpandRest` carry no payload.
@@ -159,8 +155,8 @@ pub enum Select {
 
 /// Executes a task. Pure with respect to the shared tree: callable outside
 /// any lock. `pos` must be `Some` when [`Task::needs_pos`] holds; it is a
-/// borrow so the simulator can point straight into the tree and the
-/// threaded back-end can pass a clone made under the lock.
+/// borrow into the tree's position slab, which both back-ends read
+/// without holding the heap lock.
 ///
 /// `hooks.tt` is the (possibly absent) shared transposition table: all table
 /// traffic happens here, outside the heap lock. Probes can only use the
@@ -246,12 +242,10 @@ pub fn execute_task<P: GamePosition, T: TtAccess<P>, C: CtlHook, O: OrdAccess>(
                     .iter()
                     .all(|k| k.static_eval.is_some())
                     .then(|| indexed.iter().map(|k| k.static_eval.unwrap()).collect());
-                let nats = indexed.iter().map(|k| k.nat).collect();
-                let kids = indexed.into_iter().map(|k| Arc::new(k.pos)).collect();
+                let kids = indexed.into_iter().map(|k| k.pos).collect();
                 Outcome::Moves {
                     kids,
                     evals,
-                    nats,
                     sort_evals: s.eval_calls,
                 }
             }
@@ -292,10 +286,6 @@ pub struct ErWorker<P: GamePosition> {
     frontier: Frontier,
     /// Aggregate nodes examined / evaluator calls (Figures 12 and 13).
     pub totals: SearchStats,
-    /// Path keys of every examined node (interior expansions and leaves;
-    /// serial-frontier subtree roots appear as one key). Meaningful for
-    /// work classification when `serial_depth == 0`.
-    pub examined_keys: Vec<u64>,
     /// Leaves settled from a memoized static value instead of a fresh
     /// evaluator call (each one is an `eval` the seed engine paid twice).
     pub cached_leaf_hits: u64,
@@ -323,7 +313,6 @@ impl<P: GamePosition> ErWorker<P> {
             cfg,
             frontier,
             totals: SearchStats::new(),
-            examined_keys: Vec::new(),
             cached_leaf_hits: 0,
             finished: false,
             root_value: None,
@@ -337,17 +326,26 @@ impl<P: GamePosition> ErWorker<P> {
         self.finished
     }
 
-    /// The position at node `id` (borrowed; the simulator points
-    /// `execute_task` straight at it).
+    /// The position at node `id`, borrowed from the tree's slab.
     pub fn node_pos(&self, id: NodeId) -> &P {
-        &self.tree.node(id).pos
+        self.tree.pos(id)
     }
 
-    /// The position at node `id` as a shared handle: a refcount bump, the
-    /// only per-job position cost the threaded scheduler pays under the
-    /// heap lock (it publishes the handle into the position arena).
-    pub fn node_pos_shared(&self, id: NodeId) -> Arc<P> {
-        Arc::clone(&self.tree.node(id).pos)
+    /// The tree's position slab, keyed by node id: the threaded back-end's
+    /// executors read it without the heap lock.
+    pub fn positions(&self) -> Arc<PublishSlab<P>> {
+        Arc::clone(self.tree.positions())
+    }
+
+    /// Positions published into the slab so far: the root's plus one per
+    /// child of every applied move list.
+    pub fn positions_published(&self) -> usize {
+        self.tree.len()
+    }
+
+    /// The path key of node `id` (see [`crate::tree::child_path_key`]).
+    pub fn node_path_key(&self, id: NodeId) -> u64 {
+        self.tree.node(id).path_key
     }
 
     /// The ply of node `id` (trace labeling).
@@ -507,13 +505,12 @@ impl<P: GamePosition> ErWorker<P> {
     /// all at once under parallel refutation, one at a time otherwise,
     /// best tentative value first in both cases.
     fn advance_refutation(&mut self, p: NodeId) {
-        // Indexed iteration over `children` — no clone of the child list on
+        // The spawned children are a range of ids: nothing to clone on
         // this per-combine hot path.
-        let n_children = self.tree.node(p).children.len();
+        let spawned = self.tree.node(p).spawned();
         if self.cfg.spec.parallel_refutation {
             let mut undecided: Vec<(Value, NodeId)> = Vec::new();
-            for i in 0..n_children {
-                let c = self.tree.node(p).children[i];
+            for c in spawned {
                 let n = self.tree.node(c);
                 if n.kind == Kind::Undecided && !n.done {
                     undecided.push((n.value, c));
@@ -531,8 +528,7 @@ impl<P: GamePosition> ErWorker<P> {
             }
         } else {
             let mut next: Option<(Value, NodeId)> = None;
-            for i in 0..n_children {
-                let c = self.tree.node(p).children[i];
+            for c in spawned {
                 let n = self.tree.node(c);
                 if n.kind == Kind::RNode && !n.done {
                     return; // a refutation is already in progress
@@ -650,7 +646,7 @@ impl<P: GamePosition> ErWorker<P> {
         let node = self.tree.node(id);
         let depth = node.depth;
         let kind = node.kind;
-        let expanded = node.moves.is_some();
+        let expanded = node.children.is_some();
 
         // Serial frontier (§6, "serial depth"): solve whole subtrees in one
         // unit of work — but preserve ER's selectivity at the boundary:
@@ -755,14 +751,13 @@ impl<P: GamePosition> ErWorker<P> {
             Outcome::Leaf(v) => {
                 self.totals.leaf_nodes += 1;
                 self.totals.eval_calls += 1;
-                self.examined_keys.push(self.tree.node(id).path_key);
                 if !self.tree.is_dead(id) {
                     let n = self.tree.node_mut(id);
                     n.value = v;
                     n.done = true;
                     // Terminals have an (empty) move list conceptually;
                     // record one so fully_spawned() holds.
-                    n.moves = Some(Vec::new());
+                    n.set_childless();
                     self.on_done(id);
                 }
             }
@@ -771,23 +766,21 @@ impl<P: GamePosition> ErWorker<P> {
                 // already charged by the sorting probe that memoized `v`.
                 self.totals.leaf_nodes += 1;
                 self.cached_leaf_hits += 1;
-                self.examined_keys.push(self.tree.node(id).path_key);
                 if !self.tree.is_dead(id) {
                     let n = self.tree.node_mut(id);
                     n.value = v;
                     n.done = true;
-                    n.moves = Some(Vec::new());
+                    n.set_childless();
                     self.on_done(id);
                 }
             }
             Outcome::Serial { value, stats } => {
                 self.totals.merge(&stats);
-                self.examined_keys.push(self.tree.node(id).path_key);
                 if !self.tree.is_dead(id) {
                     let n = self.tree.node_mut(id);
                     n.value = n.value.max(value);
                     n.done = true;
-                    n.moves = Some(Vec::new());
+                    n.set_childless();
                     self.on_done(id);
                 }
             }
@@ -795,37 +788,27 @@ impl<P: GamePosition> ErWorker<P> {
                 // An exact stored value settles the node without expansion;
                 // like a serial-frontier hit it examines no new nodes here
                 // (the table's own counters record the hit).
-                self.examined_keys.push(self.tree.node(id).path_key);
                 if !self.tree.is_dead(id) {
                     let n = self.tree.node_mut(id);
                     n.value = n.value.max(value);
                     n.done = true;
-                    n.moves = Some(Vec::new());
+                    n.set_childless();
                     self.on_done(id);
                 }
             }
             Outcome::Moves {
                 kids,
                 evals,
-                nats,
                 sort_evals,
             } => {
                 self.totals.interior_nodes += 1;
                 self.totals.eval_calls += sort_evals;
                 self.totals.sorts += u64::from(sort_evals > 0);
-                self.examined_keys.push(self.tree.node(id).path_key);
                 if !self.tree.is_dead(id) {
                     let kind = self.tree.node(id).kind;
-                    {
-                        let n = self.tree.node_mut(id);
-                        n.moves = Some(kids);
-                        // Children spawned later inherit these as memoized
-                        // static values.
-                        n.move_evals = evals;
-                        // The natural index of each move, cached so hint
-                        // splicing never has to re-derive the sort.
-                        n.move_nats = Some(nats);
-                    }
+                    // Children spawned later carry the evals as memoized
+                    // static values.
+                    self.tree.set_children(id, kids, evals);
                     match kind {
                         Kind::ENode => {
                             // Table 1 row 1: all children, undecided.
@@ -945,6 +928,9 @@ struct SimAdapter<P: GamePosition, T: TtAccess<P>, O: OrdAccess> {
     worker: ErWorker<P>,
     inflight: Vec<Option<(NodeId, Outcome<P>)>>,
     trace: Vec<JobTrace>,
+    /// Path keys of every examined node, in completion order (see
+    /// [`ErRunResult::examined_keys`]).
+    examined_keys: Vec<u64>,
     hooks: Hooks<T, (), (), O>,
 }
 
@@ -960,7 +946,7 @@ impl<P: GamePosition, T: TtAccess<P>, O: OrdAccess> HeapWorker for SimAdapter<P,
             Select::Job(job) => {
                 let ply = self.worker.node_ply(job.id);
                 let kind = task_kind(&job.task);
-                // Borrow the position straight out of the tree: the
+                // Borrow the position straight out of the tree's slab: the
                 // simulator never clones a position per job. `run_er_sim`
                 // passes a table-free handle (`()`), keeping it
                 // byte-for-byte deterministic against the seed runs; with
@@ -990,7 +976,15 @@ impl<P: GamePosition, T: TtAccess<P>, O: OrdAccess> HeapWorker for SimAdapter<P,
     fn complete(&mut self, token: u64, _now: u64) -> bool {
         match self.inflight[token as usize].take() {
             None => self.worker.is_finished(),
-            Some((id, outcome)) => self.worker.apply(id, outcome),
+            Some((id, outcome)) => {
+                // Every outcome but a spawn-only `Unit` examined its node:
+                // an expansion, a leaf, or a serial or table-answered
+                // subtree root.
+                if !matches!(outcome, Outcome::Unit) {
+                    self.examined_keys.push(self.worker.node_path_key(id));
+                }
+                self.worker.apply(id, outcome)
+            }
         }
     }
 
@@ -1033,6 +1027,7 @@ pub fn run_er_sim_with<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
         worker: ErWorker::new(pos.clone(), depth, window, *cfg, Frontier::Er),
         inflight: Vec::new(),
         trace: Vec::new(),
+        examined_keys: Vec::new(),
         hooks,
     };
     let report = simulate(&mut adapter, processors, cfg.cost.heap_latency);
@@ -1044,7 +1039,7 @@ pub fn run_er_sim_with<P: GamePosition, T: TtAccess<P>, O: OrdAccess>(
         report,
         stats: adapter.worker.totals,
         trace: adapter.trace,
-        examined_keys: adapter.worker.examined_keys,
+        examined_keys: adapter.examined_keys,
     }
 }
 

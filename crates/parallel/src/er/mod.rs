@@ -99,8 +99,10 @@ pub struct ErRunResult {
     pub stats: SearchStats,
     /// Per-job trace (start time, cost, ply, task kind) for diagnostics.
     pub trace: Vec<engine::JobTrace>,
-    /// Path keys of examined nodes (work classification; see
-    /// `baselines`-adjacent `mandatory` module).
+    /// Path keys of every examined node (interior expansions and leaves;
+    /// serial-frontier subtree roots appear as one key), in completion
+    /// order. Meaningful for work classification (the `mandatory` module)
+    /// when `serial_depth == 0`.
     pub examined_keys: Vec<u64>,
 }
 

@@ -7,13 +7,12 @@
 //! [`ErWorker`] state used by the simulator, with the critical sections
 //! decomposed into three cooperating parts (DESIGN.md §9):
 //!
-//! * **A lock-free position arena.** Node positions live in the tree as
-//!   `Arc<P>`; when the scheduler selects a job that reads its position it
-//!   *publishes* the handle into a [`PublishSlab`] — a refcount bump, not
-//!   a deep clone — and the executor dereferences it *after* dropping the
-//!   lock. No position byte is ever copied while the heap mutex is held,
-//!   by construction: positions travel only as `Arc<P>` through the
-//!   arena, and a job descriptor (`Task`) carries no position.
+//! * **A lock-free position arena.** Node positions live in the tree's
+//!   [`PublishSlab`], keyed by node id: applying a move list moves each
+//!   child position into it once, under the lock, with no clone, no
+//!   per-position allocation and no refcount. The pool shares the slab, so
+//!   an executor (owner or thief) reads its job's position *after*
+//!   dropping the lock, and a job descriptor (`Task`) carries no position.
 //! * **Per-worker deques with lock-free stealing.** Each refill lands in
 //!   the worker's own bounded Chase–Lev deque ([`ws_deque`]); the owner
 //!   pops lock-free, and an idle sibling *steals* from the other end
@@ -190,8 +189,8 @@ struct Shared<P: GamePosition> {
 type JobRef = (NodeId, Task);
 
 /// What the workers of one run share: the problem heap, where idle workers
-/// park, the position arena, the deques' stealing ends, and the hooks with
-/// the run's control.
+/// park, the tree's position slab, the deques' stealing ends, and the hooks
+/// with the run's control.
 struct Pool<'a, P: GamePosition, T, R, O> {
     heap: Mutex<Shared<P>>,
     idle: Condvar,
@@ -203,9 +202,9 @@ struct Pool<'a, P: GamePosition, T, R, O> {
     /// read the flag clear under the lock is already waiting on `idle`
     /// when the broadcast comes.
     done: AtomicBool,
-    /// Published under the lock (refcount bumps), read lock-free by owners
-    /// and thieves alike.
-    arena: PublishSlab<Arc<P>>,
+    /// The tree's position slab: published under the lock when a move list
+    /// is applied, read lock-free by owners and thieves alike.
+    positions: Arc<PublishSlab<P>>,
     stealers: Vec<WsStealer<JobRef>>,
     scfg: ErConfig,
     hooks: Hooks<T, &'a SearchControl, R, O>,
@@ -346,12 +345,14 @@ where
         self.counters.lock_acquisitions += 1;
         self.counters.lock_wait_nanos += waited;
         self.wtr.span_at(EventKind::LockWait, waiting, waited, 0);
+        let published = g.worker.positions_published();
         for (id, outcome) in self.ready.drain(..) {
             self.counters.outcomes_applied += 1;
             if g.worker.apply(id, outcome) {
                 pool.done.store(true, SeqCst);
             }
         }
+        self.counters.arena_publishes += (g.worker.positions_published() - published) as u64;
         while !pool.is_done() {
             self.counters.select_batches += 1;
             self.refill(&mut g.worker);
@@ -402,21 +403,13 @@ where
         hold
     }
 
-    /// Tops the take up to the batch target, publishing each selected
-    /// job's position into the arena. Speculates only on starvation: once
-    /// the take holds a job, an empty primary queue ends the refill instead
-    /// of promoting a speculative e-child.
+    /// Tops the take up to the batch target. Speculates only on
+    /// starvation: once the take holds a job, an empty primary queue ends
+    /// the refill instead of promoting a speculative e-child.
     fn refill(&mut self, heap: &mut ErWorker<P>) {
-        let arena = &self.pool.arena;
         while self.take.len() < self.batch_target {
             match heap.select(self.take.is_empty()) {
-                Select::Job(job) => {
-                    let pos = || heap.node_pos_shared(job.id);
-                    if job.task.needs_pos() && arena.publish(job.id as usize, pos()) {
-                        self.counters.arena_publishes += 1;
-                    }
-                    self.take.push((job.id, job.task));
-                }
+                Select::Job(job) => self.take.push((job.id, job.task)),
                 Select::JustFinished => {
                     self.pool.done.store(true, SeqCst);
                     break;
@@ -493,9 +486,9 @@ where
     }
 
     /// Executes one job lock-free: the position (when the task reads one)
-    /// is dereferenced out of the arena — published earlier by whichever
-    /// scheduler round selected the job — and the outcome is buffered for
-    /// the next acquisition.
+    /// is borrowed from the slab — published when the node's parent's move
+    /// list was applied — and the outcome is buffered for the next
+    /// acquisition.
     ///
     /// Returns `false` when the job produced no applicable outcome: the
     /// control tripped inside a serial-frontier batch, or the task panicked
@@ -506,10 +499,9 @@ where
         self.counters.jobs_executed += 1;
         let pool = self.pool;
         let pos: Option<&P> = task.needs_pos().then(|| {
-            &**pool
-                .arena
+            pool.positions
                 .get(id as usize)
-                .expect("position published before the job was queued")
+                .expect("a node's position is published when its id is reserved")
         });
         let hooks = pool
             .hooks
@@ -660,10 +652,10 @@ where
     let worker = ErWorker::new(pos.clone(), depth, window, *cfg, frontier);
     let pool = Pool {
         scfg: worker.serial_cfg(),
+        positions: worker.positions(),
         heap: Mutex::new(Shared { worker, parked: 0 }),
         idle: Condvar::new(),
         done: AtomicBool::new(false),
-        arena: PublishSlab::new(),
         stealers,
         hooks: hooks.with_ctl(ctl),
     };
@@ -806,9 +798,9 @@ mod tests {
 
     #[test]
     fn positions_reach_executors_through_the_arena() {
-        // Refcount bumps under the lock, published once per node: a job
-        // descriptor carries no position, so none is cloned in the
-        // critical section.
+        // Each generated child's position is moved into the slab once, when
+        // its parent's move list is applied: a job descriptor carries no
+        // position, so none is cloned in the critical section.
         let root = RandomTreeSpec::new(9, 4, 8).root();
         for threads in [1usize, 4, 8] {
             let r = run_er_threads(&root, 8, threads, &ErParallelConfig::random_tree(3));

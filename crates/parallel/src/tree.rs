@@ -4,6 +4,12 @@
 //! bookkeeping the problem-heap rules of Tables 1 and 2 need: node type,
 //! generated children, elder-grandchild progress, and e-child state.
 //!
+//! The tree is an index arena. Applying a node's move list reserves its
+//! children's ids as one contiguous range, in generation order, and moves
+//! each child position once into the tree's [`PublishSlab`] under its id.
+//! A node holds no position and no vector: spawning a child only sets its
+//! kind and bumps its parent's counters.
+//!
 //! Values follow the paper's combine procedure: `value` is raised only by
 //! *done* children (`value := max(value, -child.value)`); tentative values
 //! (an undecided child whose elder grandchild finished) live on the child
@@ -14,9 +20,11 @@
 //! tree immediately narrows everyone's windows. "Node can't be cut off"
 //! (§6 combine) is exactly "the dynamic window is non-empty".
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use gametree::{GamePosition, Value, Window};
+use problem_heap::PublishSlab;
 
 /// Index of a node in the [`SearchTree`] arena.
 pub type NodeId = u32;
@@ -44,13 +52,10 @@ pub enum Kind {
     Undecided,
 }
 
-/// One node of the shared search tree.
+/// One node of the shared search tree. Its position lives in the tree's
+/// slab under its id ([`SearchTree::pos`]).
 #[derive(Clone, Debug)]
-pub struct Node<P: GamePosition> {
-    /// The game position at this node, as a shared handle: the threaded
-    /// back-end publishes it into a lock-free arena (a refcount bump, not a
-    /// deep clone) so executors read positions after dropping the heap lock.
-    pub pos: Arc<P>,
+pub struct Node {
     /// Parent node, `None` for the root.
     pub parent: Option<NodeId>,
     /// Remaining search depth below this node.
@@ -64,26 +69,17 @@ pub struct Node<P: GamePosition> {
     pub value: Value,
     /// Node finished: evaluated, refuted, or cut off.
     pub done: bool,
-    /// Ordered successor positions, generated once ("determine the child
-    /// positions"); `None` until first needed. Shared handles: spawning a
-    /// child is a refcount bump, never a position copy.
-    pub moves: Option<Vec<Arc<P>>>,
-    /// Static values of `moves`, aligned index-for-index, when the ordering
-    /// policy evaluated them for sorting. Spawned children inherit their
-    /// entry as `static_eval` so no position is evaluated twice.
-    pub move_evals: Option<Vec<Value>>,
-    /// Natural (pre-sort) index of each entry of `moves`, aligned
-    /// index-for-index: the stable move identity a transposition-table
-    /// hint refers to. Cached at move generation — hint splicing and sort
-    /// order are resolved once, never re-derived from a second sort.
-    pub move_nats: Option<Vec<u16>>,
-    /// Memoized static evaluation of `pos`, if some earlier phase (a
-    /// sorting probe in the parent's move generation) already computed it.
+    /// The ids reserved for the children, in search order ("determine the
+    /// child positions", done once); `None` until the move list is
+    /// applied, empty for a settled terminal.
+    pub children: Option<Range<NodeId>>,
+    /// Memoized static evaluation of the node's position, if some earlier
+    /// phase (a sorting probe in the parent's move generation) already
+    /// computed it.
     pub static_eval: Option<Value>,
-    /// How many children have been spawned as tree nodes.
+    /// How many children have been spawned as tree nodes: the first
+    /// `next_child` ids of `children`.
     pub next_child: usize,
-    /// Spawned children, in generation order.
-    pub children: Vec<NodeId>,
     /// Spawned children not yet done.
     pub active_children: usize,
     /// Children with a tentative value (elder grandchild evaluated) or
@@ -108,29 +104,18 @@ pub struct Node<P: GamePosition> {
     pub path_key: u64,
 }
 
-impl<P: GamePosition> Node<P> {
-    fn new(
-        pos: Arc<P>,
-        parent: Option<NodeId>,
-        depth: u32,
-        ply: u32,
-        kind: Kind,
-        path_key: u64,
-    ) -> Node<P> {
+impl Node {
+    fn new(parent: Option<NodeId>, depth: u32, ply: u32, kind: Kind, path_key: u64) -> Node {
         Node {
-            pos,
             parent,
             depth,
             ply,
             kind,
             value: Value::NEG_INF,
             done: false,
-            moves: None,
-            move_evals: None,
-            move_nats: None,
+            children: None,
             static_eval: None,
             next_child: 0,
-            children: Vec::new(),
             active_children: 0,
             elder_done: 0,
             elder_counted: false,
@@ -146,21 +131,37 @@ impl<P: GamePosition> Node<P> {
 
     /// Total number of children once the move list exists.
     pub fn degree(&self) -> Option<usize> {
-        self.moves.as_ref().map(|m| m.len())
+        self.children.as_ref().map(|c| c.len())
     }
 
     /// True iff every child has been spawned (requires the move list).
     pub fn fully_spawned(&self) -> bool {
         matches!(self.degree(), Some(d) if self.next_child == d)
     }
+
+    /// The spawned children's ids, in generation order.
+    pub fn spawned(&self) -> Range<NodeId> {
+        match &self.children {
+            Some(c) => c.start..c.start + self.next_child as NodeId,
+            None => 0..0,
+        }
+    }
+
+    /// Settles the node as a terminal: no children, ever.
+    pub fn set_childless(&mut self) {
+        self.children = Some(0..0);
+    }
 }
 
 /// Arena of search-tree nodes. All parallel-engine mutations go through
 /// this structure; in the simulator it is accessed under the (virtual) heap
 /// lock, in the threaded implementation under a real mutex.
-#[derive(Debug)]
 pub struct SearchTree<P: GamePosition> {
-    nodes: Vec<Node<P>>,
+    nodes: Vec<Node>,
+    /// Every node's position, published under its id when the id is
+    /// reserved and never changed after. Shared so the threaded back-end's
+    /// executors read positions lock-free.
+    positions: Arc<PublishSlab<P>>,
     /// Initial window at the root. [`Window::FULL`] for a plain search;
     /// an aspiration driver narrows it around the previous iteration's
     /// value so every dynamic window in the tree inherits the bounds.
@@ -181,30 +182,39 @@ impl<P: GamePosition> SearchTree<P> {
     /// search). The result is exact only if it falls strictly inside
     /// `window`; outside it is a bound in the failing direction.
     pub fn new_windowed(pos: P, depth: u32, window: Window) -> SearchTree<P> {
+        let positions = PublishSlab::new();
+        positions.publish(ROOT as usize, pos);
         SearchTree {
-            nodes: vec![Node::new(
-                Arc::new(pos),
-                None,
-                depth,
-                0,
-                Kind::ENode,
-                ROOT_PATH_KEY,
-            )],
+            nodes: vec![Node::new(None, depth, 0, Kind::ENode, ROOT_PATH_KEY)],
+            positions: Arc::new(positions),
             root_window: window,
         }
     }
 
     /// Immutable node access.
-    pub fn node(&self, id: NodeId) -> &Node<P> {
+    pub fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id as usize]
     }
 
     /// Mutable node access.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node<P> {
+    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
         &mut self.nodes[id as usize]
     }
 
-    /// Number of nodes spawned so far.
+    /// The position at node `id`.
+    pub fn pos(&self, id: NodeId) -> &P {
+        self.positions
+            .get(id as usize)
+            .expect("a node's position is published when its id is reserved")
+    }
+
+    /// The slab holding every node's position, keyed by node id.
+    pub fn positions(&self) -> &Arc<PublishSlab<P>> {
+        &self.positions
+    }
+
+    /// Number of node ids reserved so far, each with its position
+    /// published: the root plus every generated child, spawned or not.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -214,23 +224,36 @@ impl<P: GamePosition> SearchTree<P> {
         self.nodes.is_empty()
     }
 
+    /// Applies `id`'s move list: reserves one id per child, in the order
+    /// given, each carrying its memoized static value from `evals`
+    /// (aligned index-for-index, when the parent sorted) and its path key,
+    /// and moves each position into the slab under its id. The children
+    /// are spawned later, in order, by [`SearchTree::spawn_child`].
+    pub fn set_children(&mut self, id: NodeId, kids: Vec<P>, evals: Option<Vec<Value>>) {
+        let first = self.nodes.len() as NodeId;
+        let p = &self.nodes[id as usize];
+        let (depth, ply, key) = (p.depth - 1, p.ply + 1, p.path_key);
+        for (i, pos) in kids.into_iter().enumerate() {
+            let c = first + i as NodeId;
+            self.positions.publish(c as usize, pos);
+            let key = child_path_key(key, i);
+            let mut node = Node::new(Some(id), depth, ply, Kind::Undecided, key);
+            node.static_eval = evals.as_ref().map(|e| e[i]);
+            self.nodes.push(node);
+        }
+        self.nodes[id as usize].children = Some(first..self.nodes.len() as NodeId);
+    }
+
     /// Spawns the next un-spawned child of `parent` with the given kind.
     /// Requires the move list to exist and a child to remain.
     pub fn spawn_child(&mut self, parent: NodeId, kind: Kind) -> NodeId {
-        let id = self.nodes.len() as NodeId;
         let p = &mut self.nodes[parent as usize];
-        let idx = p.next_child;
-        let pos = Arc::clone(&p.moves.as_ref().expect("move list exists")[idx]);
-        let static_eval = p.move_evals.as_ref().map(|e| e[idx]);
-        let depth = p.depth - 1;
-        let ply = p.ply + 1;
-        let key = child_path_key(p.path_key, idx);
+        let first = p.children.as_ref().expect("move list exists").start;
+        let id = first + p.next_child as NodeId;
+        debug_assert!(!p.fully_spawned(), "no child left to spawn");
         p.next_child += 1;
-        p.children.push(id);
         p.active_children += 1;
-        let mut node = Node::new(pos, Some(parent), depth, ply, kind, key);
-        node.static_eval = static_eval;
-        self.nodes.push(node);
+        self.nodes[id as usize].kind = kind;
         id
     }
 
@@ -273,29 +296,13 @@ impl<P: GamePosition> SearchTree<P> {
         false
     }
 
-    /// Children of `id` that are candidates for (additional) e-child
-    /// selection: undecided, not done, with a tentative value.
-    pub fn echild_candidates(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes[id as usize]
-            .children
-            .iter()
-            .copied()
-            .filter(|&c| {
-                let n = &self.nodes[c as usize];
-                n.kind == Kind::Undecided && !n.done && n.elder_counted
-            })
-            .collect()
-    }
-
     /// The best e-child candidate: the one with the most optimistic bound
     /// for the parent, i.e. the lowest tentative value (ties: generation
     /// order, which preserves static-sort order). Allocation-free — this
     /// runs under the heap lock on every speculative-queue pop.
     pub fn best_candidate(&self, id: NodeId) -> Option<NodeId> {
         self.nodes[id as usize]
-            .children
-            .iter()
-            .copied()
+            .spawned()
             .filter(|&c| {
                 let n = &self.nodes[c as usize];
                 n.kind == Kind::Undecided && !n.done && n.elder_counted
@@ -317,15 +324,14 @@ mod tests {
         SearchTree::new(root, 2)
     }
 
+    /// Applies `id`'s move list in natural order.
+    fn expand(t: &mut SearchTree<gametree::arena::ArenaPos>, id: NodeId) {
+        let kids = t.pos(id).children();
+        t.set_children(id, kids, None);
+    }
+
     fn expand_all(t: &mut SearchTree<gametree::arena::ArenaPos>, id: NodeId, kind: Kind) {
-        let kids = t
-            .node(id)
-            .pos
-            .children()
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        t.node_mut(id).moves = Some(kids);
+        expand(t, id);
         while !t.node(id).fully_spawned() {
             t.spawn_child(id, kind);
         }
@@ -343,7 +349,7 @@ mod tests {
         expand_all(&mut t, ROOT, Kind::Undecided);
         // Simulate the first child combining with value -7 (so root >= 7).
         t.node_mut(ROOT).value = Value::new(7);
-        let c2 = t.node(ROOT).children[1];
+        let c2 = t.node(ROOT).spawned().nth(1).unwrap();
         let w = t.window(c2);
         // Child's beta = -alpha(root) = -7.
         assert_eq!(w.beta, Value::new(-7));
@@ -356,7 +362,7 @@ mod tests {
         let mut t = two_level();
         expand_all(&mut t, ROOT, Kind::Undecided);
         t.node_mut(ROOT).value = Value::new(7);
-        let c2 = t.node(ROOT).children[1];
+        let c2 = t.node(ROOT).spawned().nth(1).unwrap();
         // The child's own combined value reaches -7: refuted.
         t.node_mut(c2).value = Value::new(-7);
         assert!(t.is_cut_off(c2));
@@ -374,9 +380,8 @@ mod tests {
         let mut t = SearchTree::new(root, 3);
         expand_all(&mut t, ROOT, Kind::Undecided);
         t.node_mut(ROOT).value = Value::new(5);
-        let b = t.node(ROOT).children[0];
-        let kids_b = t.node(b).pos.children().into_iter().map(Arc::new).collect();
-        t.node_mut(b).moves = Some(kids_b);
+        let b = t.node(ROOT).spawned().next().unwrap();
+        expand(&mut t, b);
         let c = t.spawn_child(b, Kind::ENode);
         let w = t.window(c);
         // alpha(c) = -beta(b) = alpha(root) = 5: the deep bound survives.
@@ -384,8 +389,7 @@ mod tests {
         // If c's descendants establish value >= beta(c) = -alpha(b) = +inf —
         // impossible; instead a *descendant of c* at the next ply sees
         // beta = -5 and can be deep-cut.
-        let kids_c = t.node(c).pos.children().into_iter().map(Arc::new).collect();
-        t.node_mut(c).moves = Some(kids_c);
+        expand(&mut t, c);
         let d = t.spawn_child(c, Kind::Undecided);
         assert_eq!(t.window(d).beta, Value::new(-5));
         t.node_mut(d).value = Value::new(-5);
@@ -396,15 +400,8 @@ mod tests {
     fn dead_propagates_from_ancestors() {
         let mut t = two_level();
         expand_all(&mut t, ROOT, Kind::Undecided);
-        let c1 = t.node(ROOT).children[0];
-        let kids = t
-            .node(c1)
-            .pos
-            .children()
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        t.node_mut(c1).moves = Some(kids);
+        let c1 = t.node(ROOT).spawned().next().unwrap();
+        expand(&mut t, c1);
         let g = t.spawn_child(c1, Kind::ENode);
         assert!(!t.is_dead(g));
         t.node_mut(c1).done = true;
@@ -416,14 +413,7 @@ mod tests {
     #[test]
     fn spawn_child_bookkeeping() {
         let mut t = two_level();
-        let kids = t
-            .node(ROOT)
-            .pos
-            .children()
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        t.node_mut(ROOT).moves = Some(kids);
+        expand(&mut t, ROOT);
         assert!(!t.node(ROOT).fully_spawned());
         let a = t.spawn_child(ROOT, Kind::Undecided);
         assert_eq!(t.node(ROOT).next_child, 1);
@@ -436,11 +426,32 @@ mod tests {
     }
 
     #[test]
+    fn a_move_list_reserves_one_contiguous_range() {
+        let mut t = two_level();
+        expand(&mut t, ROOT);
+        let c1 = t.spawn_child(ROOT, Kind::Undecided);
+        expand(&mut t, c1);
+        // The root's second child was reserved before c1's children.
+        let c2 = t.spawn_child(ROOT, Kind::RNode);
+        assert_eq!((c1, c2), (1, 2));
+        assert_eq!(t.node(c1).children, Some(3..5));
+        assert_eq!(t.node(c2).kind, Kind::RNode);
+        assert_eq!(t.node(c2).path_key, child_path_key(ROOT_PATH_KEY, 1));
+        // Reserved ids carry their position and memoized value at once.
+        let kids = t.pos(c2).children();
+        t.set_children(c2, kids, Some(vec![Value::new(5), Value::new(1)]));
+        assert_eq!(t.len(), 7);
+        assert_eq!(t.node(6).static_eval, Some(Value::new(1)));
+        assert_eq!(t.pos(6).evaluate(), Value::new(1));
+        assert!(t.node(c2).spawned().is_empty());
+    }
+
+    #[test]
     fn candidate_selection_prefers_lowest_tentative() {
         let mut t = two_level();
         expand_all(&mut t, ROOT, Kind::Undecided);
-        let c1 = t.node(ROOT).children[0];
-        let c2 = t.node(ROOT).children[1];
+        let c1 = t.node(ROOT).spawned().next().unwrap();
+        let c2 = t.node(ROOT).spawned().nth(1).unwrap();
         // Both children have tentative values (elder grandchildren done).
         t.node_mut(c1).elder_counted = true;
         t.node_mut(c1).value = Value::new(-3);

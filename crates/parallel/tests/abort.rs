@@ -67,9 +67,9 @@ impl<P: GamePosition> PanicPos<P> {
 impl<P: GamePosition> GamePosition for PanicPos<P> {
     type Move = P::Move;
 
-    fn moves(&self) -> Vec<P::Move> {
+    fn moves_into(&self, out: &mut Vec<P::Move>) {
         self.fuse.burn(PanicSite::Moves);
-        self.inner.moves()
+        self.inner.moves_into(out)
     }
 
     fn play(&self, mv: &P::Move) -> PanicPos<P> {

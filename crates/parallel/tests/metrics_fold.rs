@@ -23,8 +23,8 @@ struct PanicPos {
 impl GamePosition for PanicPos {
     type Move = <RandomPos as GamePosition>::Move;
 
-    fn moves(&self) -> Vec<Self::Move> {
-        self.inner.moves()
+    fn moves_into(&self, out: &mut Vec<Self::Move>) {
+        self.inner.moves_into(out)
     }
 
     fn play(&self, mv: &Self::Move) -> PanicPos {

@@ -175,3 +175,30 @@ fn traced_deepening_matches_untraced_and_marks_depths() {
     assert_eq!(c[EventKind::IdDepthFinish as usize], 6);
     assert!(data.driver.events.len() >= 12);
 }
+
+#[test]
+fn a_table_free_run_traces_no_table_events_and_every_job() {
+    // Without a table nothing is probed or stored, so the trace holds no
+    // table events; a ring with room for the run's real events then keeps
+    // one job span per executed job.
+    let root = RandomTreeSpec::new(7, 4, 10).root();
+    let tracer = Tracer::with_capacity(1 << 16);
+    let run = run_er_threads_with(
+        &root,
+        10,
+        Window::FULL,
+        1,
+        &ErParallelConfig::random_tree(4),
+        Hooks::default().with_tracer(&tracer),
+    )
+    .expect("unlimited traced run cannot abort");
+    let data = tracer.snapshot();
+    let c = data.counts();
+    assert_eq!(c[EventKind::TtProbe as usize], 0, "phantom probes");
+    assert_eq!(c[EventKind::TtStore as usize], 0, "phantom stores");
+    assert_eq!(data.total_dropped(), 0);
+    assert_eq!(
+        c[EventKind::JobExecute as usize],
+        run.counters().jobs_executed
+    );
+}

@@ -76,8 +76,9 @@ pub struct ThreadCounters {
     pub lock_waits: HistSnapshot,
     /// Nanoseconds the heap mutex was held by this thread.
     pub lock_hold_nanos: u64,
-    /// Position handles published into the lock-free arena (`Arc` refcount
-    /// bumps performed under the lock in place of deep clones).
+    /// Child positions published into the search tree's lock-free slab
+    /// while this thread held the lock: each moved in once, when its
+    /// parent's move list was applied, never cloned.
     pub arena_publishes: u64,
     /// Adaptive-batch upward adjustments.
     pub batch_grows: u64,

@@ -1,20 +1,20 @@
 //! Append-only publish slab: the lock-free position arena.
 //!
-//! The threaded back-end's scheduler selects jobs under the heap mutex but
-//! must not *clone positions* there — a position clone is the single most
-//! expensive operation the old critical section performed, and the paper's
-//! §3.1 interference analysis charges every nanosecond of lock hold time
-//! to every waiting processor. Instead the scheduler *publishes* a cheap
-//! handle (an `Arc<P>` refcount bump) into this slab, keyed by node id,
-//! and the worker reads it back **after** dropping the lock. Stealers read
-//! the same entries without ever having held the lock at all.
+//! The threaded back-end's scheduler mutates the search tree under the
+//! heap mutex, but executors must read node positions *without* it: the
+//! paper's §3.1 interference analysis charges every nanosecond of lock
+//! hold time to every waiting processor. The search tree therefore keeps
+//! every node's position in this slab, keyed by node id: applying a move
+//! list *moves* each child position in once (no clone, no refcount), and
+//! workers — owners and thieves alike — read it back lock-free after
+//! dropping the lock.
 //!
 //! The slab is fully safe code: a chunked spine of [`OnceLock`]s. Each
 //! spine slot lazily materializes a chunk of `OnceLock<T>` cells, chunk
 //! sizes growing geometrically (1024, 2048, 4096, …) so the spine stays
 //! tiny while indexing is O(1). Published entries are immutable —
 //! publishing the same index twice keeps the first value, which is
-//! harmless here because node ids are allocated once and a node's position
+//! harmless here because node ids are reserved once and a node's position
 //! never changes.
 //!
 //! Writes happen under the heap lock (so they are already serialized);

@@ -77,6 +77,7 @@ impl<P: GamePosition, O: OrdAccess> SerialBody<P> for Ab<'_, P, O> {
         ctl: C,
         stats: &mut SearchStats,
     ) -> Result<Value, Value> {
+        let mut stack = Vec::new();
         ab_rec(
             self.pos,
             self.depth,
@@ -86,6 +87,7 @@ impl<P: GamePosition, O: OrdAccess> SerialBody<P> for Ab<'_, P, O> {
             tt,
             ctl,
             self.ord,
+            &mut stack,
             stats,
         )
         .map(|v| v.max(self.window.alpha))
@@ -107,6 +109,16 @@ pub fn fail_soft_bound(value: Value, window: Window) -> Bound {
     }
 }
 
+/// Free room the move stack keeps before a node appends its moves. A node
+/// with at most this many moves appends without reallocating; when the
+/// room runs out, `reserve` grows the stack geometrically, where
+/// `moves_into`'s own exact reservation would grow it move list by move
+/// list.
+const MOVE_HEADROOM: usize = 32;
+
+/// One node of the recursion. Its moves go on top of `stack`, the one move
+/// stack of the whole search, and come off again on every exit: a result,
+/// a table or beta cutoff, or an abort.
 #[allow(clippy::too_many_arguments)]
 fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     pos: &P,
@@ -117,14 +129,41 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
     tt: T,
     ctl: C,
     ord: O,
+    stack: &mut Vec<P::Move>,
+    stats: &mut SearchStats,
+) -> Option<Value> {
+    let base = stack.len();
+    let r = ab_node(
+        pos, depth, window, ply, policy, tt, ctl, ord, stack, base, stats,
+    );
+    stack.truncate(base);
+    r
+}
+
+/// [`ab_rec`]'s body: its moves are `stack[base..]`, walked by index.
+#[allow(clippy::too_many_arguments)]
+fn ab_node<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
+    pos: &P,
+    depth: u32,
+    window: Window,
+    ply: u32,
+    policy: OrderPolicy,
+    tt: T,
+    ctl: C,
+    ord: O,
+    stack: &mut Vec<P::Move>,
+    base: usize,
     stats: &mut SearchStats,
 ) -> Option<Value> {
     if ctl.check().is_some() {
         return None;
     }
     // Generated once: the terminal test and the children both read it.
-    let moves = if depth == 0 { Vec::new() } else { pos.moves() };
-    if moves.is_empty() {
+    if depth > 0 {
+        stack.reserve(MOVE_HEADROOM);
+        pos.moves_into(stack);
+    }
+    if stack.len() == base {
         stats.leaf_nodes += 1;
         stats.eval_calls += 1;
         let v = pos.evaluate();
@@ -141,14 +180,14 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
         None => None,
     };
     stats.interior_nodes += 1;
-    let (kids, hinted) = Children::new(pos, moves, ply, policy, ord, hint, stats);
+    let (mut kids, hinted) = Children::new(pos, &stack[base..], ply, policy, ord, hint, stats);
     if hinted {
         tt.note_hint_used();
     }
     let mut m = Value::NEG_INF;
     let mut best = None;
     let mut w = window;
-    for (nat, child) in kids {
+    while let Some((nat, child)) = kids.next(pos, &stack[base..]) {
         // An abort below propagates before any store: partial values never
         // reach the table.
         let t = -ab_rec(
@@ -160,6 +199,7 @@ fn ab_rec<P: GamePosition, T: TtAccess<P>, C: CtlAccess, O: OrdAccess>(
             tt,
             ctl,
             ord,
+            stack,
             stats,
         )?;
         if t > m {

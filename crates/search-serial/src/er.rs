@@ -799,8 +799,8 @@ mod tests {
         struct Jittery(gametree::random::RandomPos);
         impl GamePosition for Jittery {
             type Move = <gametree::random::RandomPos as GamePosition>::Move;
-            fn moves(&self) -> Vec<Self::Move> {
-                self.0.moves()
+            fn moves_into(&self, out: &mut Vec<Self::Move>) {
+                self.0.moves_into(out)
             }
             fn play(&self, mv: &Self::Move) -> Jittery {
                 Jittery(self.0.play(mv))

@@ -411,7 +411,7 @@ fn ordered_from_moves<P: GamePosition, O: OrdAccess>(
     kids
 }
 
-/// A node's children in search order, yielding `(nat, child)` pairs.
+/// A node's children in search order, as `(nat, child)` pairs.
 ///
 /// A node that has nothing to reorder them by — its policy does not sort
 /// here (or it has one move), no table hint and no ordering tables — keeps
@@ -419,49 +419,47 @@ fn ordered_from_moves<P: GamePosition, O: OrdAccess>(
 /// cutoff never pays for the siblings after it. Any other node gets the
 /// ordered list of [`ordered_children_ranked`], with the hint spliced to
 /// the front. The lazy order is the one that list would have had.
-pub(crate) enum Children<'a, P: GamePosition> {
-    /// Natural order, each move played on demand.
-    Lazy {
-        /// The parent position.
-        pos: &'a P,
-        /// The parent's moves, with their natural indices.
-        moves: std::iter::Enumerate<std::vec::IntoIter<P::Move>>,
-    },
+pub(crate) enum Children<P> {
+    /// Natural order, each move played on demand: the natural index of
+    /// the next move.
+    Lazy(usize),
     /// Children built, sorted and ranked up front.
     Listed(std::vec::IntoIter<OrderedChild<P>>),
 }
 
-impl<'a, P: GamePosition> Children<'a, P> {
+impl<P: GamePosition> Children<P> {
     /// Orders `pos`'s children from `moves`, its natural move list, under
     /// `policy` and `ord`, with `hint` first. Returns true beside the
     /// source iff the hint matched a child.
     pub(crate) fn new<O: OrdAccess>(
-        pos: &'a P,
-        moves: Vec<P::Move>,
+        pos: &P,
+        moves: &[P::Move],
         ply: u32,
         policy: OrderPolicy,
         ord: O,
         hint: Option<u16>,
         stats: &mut SearchStats,
-    ) -> (Children<'a, P>, bool) {
+    ) -> (Children<P>, bool) {
         let sorts = policy.sorts_at(ply) && moves.len() > 1;
         if !sorts && hint.is_none() && !O::ENABLED {
-            let moves = moves.into_iter().enumerate();
-            return (Children::Lazy { pos, moves }, false);
+            return (Children::Lazy(0), false);
         }
-        let mut kids = ordered_from_moves(pos, &moves, ply, policy, ord, stats);
+        let mut kids = ordered_from_moves(pos, moves, ply, policy, ord, stats);
         let hinted = splice_hint(&mut kids, hint);
         (Children::Listed(kids.into_iter()), hinted)
     }
-}
 
-impl<P: GamePosition> Iterator for Children<'_, P> {
-    type Item = (u16, P);
-
+    /// The next child of `pos`, whose natural move list `moves` is the one
+    /// [`Children::new`] was given.
     #[inline]
-    fn next(&mut self) -> Option<(u16, P)> {
+    pub(crate) fn next(&mut self, pos: &P, moves: &[P::Move]) -> Option<(u16, P)> {
         match self {
-            Children::Lazy { pos, moves } => moves.next().map(|(i, m)| (i as u16, pos.play(&m))),
+            Children::Lazy(next) => {
+                let nat = *next;
+                let child = pos.play(moves.get(nat)?);
+                *next += 1;
+                Some((nat as u16, child))
+            }
             Children::Listed(kids) => kids.next().map(|k| (k.nat, k.pos)),
         }
     }

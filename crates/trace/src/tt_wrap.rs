@@ -40,17 +40,25 @@ impl<'a, T, W> Traced<'a, T, W> {
 }
 
 impl<P, T: TtAccess<P>, W: WorkerTrace> TtAccess<P> for Traced<'_, T, W> {
+    const ENABLED: bool = T::ENABLED;
+
+    /// Records a probe only when a table is attached: wrapping the
+    /// table-free `()` records nothing.
     #[inline]
     fn probe(self, pos: &P) -> Option<Probe> {
         let r = self.inner.probe(pos);
-        self.w.instant(EventKind::TtProbe, r.is_some() as u32);
+        if T::ENABLED {
+            self.w.instant(EventKind::TtProbe, r.is_some() as u32);
+        }
         r
     }
 
     #[inline]
     fn store(self, pos: &P, depth: u32, value: Value, bound: Bound, hint: Option<u16>) {
         self.inner.store(pos, depth, value, bound, hint);
-        self.w.instant(EventKind::TtStore, depth);
+        if T::ENABLED {
+            self.w.instant(EventKind::TtStore, depth);
+        }
     }
 
     #[inline]
@@ -84,6 +92,22 @@ mod tests {
         h.store(&pos, 3, Value::new(7), Bound::Exact, None);
         let p = h.probe(&pos).expect("stored through the wrapper");
         assert_eq!(p.value, Value::new(7));
+    }
+
+    #[test]
+    fn a_table_free_handle_records_nothing() {
+        let pos = RandomTreeSpec::new(1, 2, 2).root();
+        let tracer = Tracer::new();
+        let w = (&tracer).worker(0);
+        {
+            let h = Traced::new((), &w);
+            assert!(h.probe(&pos).is_none());
+            h.store(&pos, 3, Value::new(7), Bound::Exact, None);
+        }
+        (&tracer).submit(w);
+        let c = tracer.snapshot().counts();
+        assert_eq!(c[EventKind::TtProbe as usize], 0);
+        assert_eq!(c[EventKind::TtStore as usize], 0);
     }
 
     #[test]

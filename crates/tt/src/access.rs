@@ -16,6 +16,11 @@ use crate::zobrist::Zobrist;
 /// A (possibly absent) transposition-table handle for positions of type
 /// `P`. `Copy` so it threads through recursive searches for free.
 pub trait TtAccess<P>: Copy {
+    /// Statically known: a table is attached. False only for `()`, whose
+    /// operations are all no-ops, so a wrapper that observes table traffic
+    /// can tell there is none.
+    const ENABLED: bool = true;
+
     /// Looks up `pos`, if a table is attached.
     fn probe(self, pos: &P) -> Option<Probe>;
 
@@ -37,6 +42,8 @@ pub trait TtAccess<P>: Copy {
 
 /// The "no table" implementation: every operation is a no-op.
 impl<P> TtAccess<P> for () {
+    const ENABLED: bool = false;
+
     #[inline(always)]
     fn probe(self, _pos: &P) -> Option<Probe> {
         None
