@@ -103,6 +103,18 @@ fn one_thread_runs_repeat_exactly_on_r1() {
 }
 
 #[test]
+fn one_thread_runs_repeat_exactly_on_r1_at_serial_depth_4() {
+    // Perfbench `random`'s setting. The grain rule lifts the threaded
+    // frontier from the configured 4 to 7, Table 3's setting, so the
+    // schedule is exactly the one pinned above.
+    let r1 = TreeSpec {
+        serial_depth: 4,
+        ..random_trees()[0]
+    };
+    assert_reproducible(&r1, [(-4422, 76_029, 69, 201), (-4422, 76_029, 69, 201)]);
+}
+
+#[test]
 fn one_thread_runs_repeat_exactly_on_o1() {
     assert_reproducible(
         &othello_trees()[0],
