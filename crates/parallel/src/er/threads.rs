@@ -90,7 +90,7 @@ use search_serial::er::ErConfig;
 use search_serial::ordering::OrdAccess;
 use search_serial::Hooks;
 
-use super::engine::{execute_task, ErWorker, Frontier, Outcome, Select, Task};
+use super::engine::{execute_task, lifted_serial_depth, ErWorker, Frontier, Outcome, Select, Task};
 use super::ErParallelConfig;
 use crate::control::{AbortReason, CtlProbe, SearchAborted, SearchControl};
 use crate::tree::NodeId;
@@ -642,14 +642,21 @@ where
     assert!(threads > 0);
     let (owners, stealers): (Vec<_>, Vec<_>) =
         (0..threads).map(|_| ws_deque::<JobRef>(DEQUE_CAP)).unzip();
-    // Alpha-beta solves the serial frontier, except under quiescence
-    // extension, which only serial ER implements.
-    let frontier = if cfg.sel.enabled() {
-        Frontier::Er
+    // Alpha-beta solves the serial frontier, lifted by the grain rule,
+    // except under quiescence extension, which only serial ER implements.
+    let (frontier, cfg) = if cfg.sel.enabled() {
+        (Frontier::Er, *cfg)
     } else {
-        Frontier::AlphaBeta
+        let serial_depth = lifted_serial_depth(pos, depth, cfg.serial_depth);
+        (
+            Frontier::AlphaBeta,
+            ErParallelConfig {
+                serial_depth,
+                ..*cfg
+            },
+        )
     };
-    let worker = ErWorker::new(pos.clone(), depth, window, *cfg, frontier);
+    let worker = ErWorker::new(pos.clone(), depth, window, cfg, frontier);
     let pool = Pool {
         scfg: worker.serial_cfg(),
         positions: worker.positions(),
