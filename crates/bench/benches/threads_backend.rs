@@ -5,20 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use er_bench::trees::random_trees;
-use er_parallel::{run_er_threads, ErParallelConfig, ErThreadsResult, Speculation};
-use problem_heap::CostModel;
-use search_serial::SelectivityConfig;
+use er_parallel::{run_er_threads, ErParallelConfig, ErThreadsResult};
 use std::hint::black_box;
 
 fn r1_config() -> ErParallelConfig {
     let r1 = &random_trees()[0];
-    ErParallelConfig {
-        serial_depth: r1.serial_depth,
-        order: r1.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    }
+    ErParallelConfig::new(r1.serial_depth, r1.order)
 }
 
 /// Runs R1 once and checks the counter invariants of the batched design.

@@ -73,7 +73,7 @@ use er_bench::experiments::{
 use er_bench::trees::{degree_label, othello_trees, random_trees};
 use gametree::Window;
 use problem_heap::CostModel;
-use search_serial::{Hooks, SelectivityConfig};
+use search_serial::Hooks;
 
 fn save_json<T: er_bench::json::ToJson>(name: &str, value: &T) {
     fs::create_dir_all("results").expect("create results/");
@@ -366,13 +366,7 @@ fn gantt() {
     use er_parallel::{run_er_sim, ErParallelConfig};
     println!("\n=== Schedule view: parallel ER on R1, 16 processors ===");
     let t = &random_trees()[0];
-    let cfg = ErParallelConfig {
-        serial_depth: t.serial_depth,
-        order: t.order,
-        spec: er_parallel::Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(t.serial_depth, t.order);
     for k in [4usize, 16] {
         let r = run_er_sim(&t.root, t.depth, k, &cfg);
         let view = ScheduleView::build(&r.trace, r.report.makespan, 20);
@@ -482,13 +476,7 @@ fn ordering() {
     // aspiration re-searches must show up as driver-row trace events and
     // the Chrome export must stay well-formed.
     let o1 = othello_trees()[0];
-    let cfg = er_parallel::ErParallelConfig {
-        serial_depth: o1.serial_depth,
-        order: o1.order,
-        spec: er_parallel::Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = er_parallel::ErParallelConfig::new(o1.serial_depth, o1.order);
     let table = tt::TranspositionTable::with_bits(16);
     // Bounded rings like the `trace` experiment's Chrome export: the
     // overwrite-oldest policy caps results/ordering_chrome.json at a few
@@ -1192,17 +1180,8 @@ fn mech() {
     // with the threaded runs traced so the telemetry subsystem vouches
     // that real work happened (and its export stays well-formed).
     let o1 = othello_trees()[0];
-    let cfg = er_parallel::ErParallelConfig {
-        serial_depth: o1.serial_depth,
-        order: o1.order,
-        spec: er_parallel::Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
-    let scfg = search_serial::er::ErConfig {
-        order: o1.order,
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = er_parallel::ErParallelConfig::new(o1.serial_depth, o1.order);
+    let scfg = search_serial::er::ErConfig::new(o1.order);
     let mut backends = Vec::new();
     let ab = search_serial::alphabeta(&o1.root, o1.depth, o1.order);
     backends.push(("alphabeta".to_string(), 1usize, ab.value));

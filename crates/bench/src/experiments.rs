@@ -7,7 +7,7 @@
 
 use gametree::{GamePosition, Value};
 use problem_heap::CostModel;
-use search_serial::{alphabeta, er_search, ErConfig, OrderPolicy, SelectivityConfig};
+use search_serial::{alphabeta, er_search, ErConfig, OrderPolicy};
 
 use crate::json::impl_to_json;
 
@@ -51,14 +51,7 @@ pub struct SerialReference {
 /// Measures both serial algorithms on a tree.
 pub fn serial_reference<P: GamePosition>(spec: &TreeSpec<P>, cost: &CostModel) -> SerialReference {
     let ab = alphabeta(&spec.root, spec.depth, spec.order);
-    let er = er_search(
-        &spec.root,
-        spec.depth,
-        ErConfig {
-            order: spec.order,
-            sel: SelectivityConfig::OFF,
-        },
-    );
+    let er = er_search(&spec.root, spec.depth, ErConfig::new(spec.order));
     assert_eq!(
         ab.value, er.value,
         "{}: serial algorithms disagree",
@@ -120,11 +113,8 @@ pub struct ErCurve {
 pub fn er_curve<P: GamePosition>(spec: &TreeSpec<P>, cost: &CostModel) -> ErCurve {
     let serial = serial_reference(spec, cost);
     let cfg = ErParallelConfig {
-        serial_depth: spec.serial_depth,
-        order: spec.order,
-        spec: Speculation::ALL,
         cost: *cost,
-        sel: SelectivityConfig::OFF,
+        ..ErParallelConfig::new(spec.serial_depth, spec.order)
     };
     let points = PROCESSOR_COUNTS
         .iter()
@@ -190,11 +180,8 @@ pub fn baseline_curves<P: GamePosition>(
     let mut curves = Vec::new();
 
     let er_cfg = ErParallelConfig {
-        serial_depth: spec.serial_depth,
-        order: spec.order,
-        spec: Speculation::ALL,
         cost: *cost,
-        sel: SelectivityConfig::OFF,
+        ..ErParallelConfig::new(spec.serial_depth, spec.order)
     };
     curves.push(BaselineCurve {
         algorithm: "ER".into(),
@@ -337,15 +324,16 @@ pub fn ablation_curves<P: GamePosition>(
             },
         ),
     ];
+    let base = ErParallelConfig {
+        cost: *cost,
+        ..ErParallelConfig::new(spec.serial_depth, spec.order)
+    };
     configs
         .iter()
         .map(|(name, spec_flags)| {
             let cfg = ErParallelConfig {
-                serial_depth: spec.serial_depth,
-                order: spec.order,
                 spec: *spec_flags,
-                cost: *cost,
-                sel: SelectivityConfig::OFF,
+                ..base
             };
             AblationCurve {
                 config: name.to_string(),
@@ -445,11 +433,8 @@ pub struct OverheadRow {
 /// `er_parallel::mandatory`).
 pub fn overhead_rows<P: GamePosition>(spec: &TreeSpec<P>, cost: &CostModel) -> Vec<OverheadRow> {
     let cfg = ErParallelConfig {
-        serial_depth: 0,
-        order: spec.order,
-        spec: Speculation::ALL,
         cost: *cost,
-        sel: SelectivityConfig::OFF,
+        ..ErParallelConfig::new(0, spec.order)
     };
     [1usize, 4, 8, 16]
         .iter()
@@ -502,11 +487,8 @@ pub fn sweep_rows() -> Vec<SweepRow> {
             let serial = serial_reference(spec, &cost);
             for serial_depth in [5u32, 6, 7, 8] {
                 let cfg = ErParallelConfig {
-                    serial_depth,
-                    order: spec.order,
-                    spec: Speculation::ALL,
                     cost,
-                    sel: SelectivityConfig::OFF,
+                    ..ErParallelConfig::new(serial_depth, spec.order)
                 };
                 for k in [4usize, 16] {
                     let r = run_er_sim(&spec.root, spec.depth, k, &cfg);
@@ -699,13 +681,7 @@ fn sim_id_run<P: GamePosition>(
 /// to the baseline's before a row is recorded.
 pub fn dyn_ordering_rows(worker_counts: &[usize]) -> Vec<DynOrderingRow> {
     let o1 = &crate::trees::othello_trees()[0];
-    let cfg = ErParallelConfig {
-        serial_depth: o1.serial_depth,
-        order: o1.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(o1.serial_depth, o1.order);
     let configs: [(&str, bool, i32); 5] = [
         ("baseline", false, 0),
         ("aspiration", false, DYN_ORDERING_DELTA),
@@ -831,11 +807,8 @@ fn threads_row<P: GamePosition>(
     spec: Speculation,
 ) -> ThreadsRow {
     let cfg = ErParallelConfig {
-        serial_depth,
-        order,
         spec,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
+        ..ErParallelConfig::new(serial_depth, order)
     };
     let r = er_parallel::run_er_threads(root, depth, threads, &cfg);
     let exact = alphabeta(root, depth, order).value;
@@ -992,13 +965,7 @@ fn scaling_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> ScalingRo
         tree.serial_depth,
         tree.order,
     );
-    let cfg = ErParallelConfig {
-        serial_depth,
-        order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(serial_depth, order);
     let exact = alphabeta(root, depth, order).value;
     let mut c = ThreadCounters::default();
     let mut nodes = 0u64;
@@ -1092,13 +1059,7 @@ fn deadline_anytime_row<P: GamePosition>(
     budget: Option<std::time::Duration>,
 ) -> DeadlineRow {
     use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl};
-    let cfg = ErParallelConfig {
-        serial_depth: tree.serial_depth,
-        order: tree.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(tree.serial_depth, tree.order);
     let ctl = match budget {
         Some(b) => SearchControl::with_budget(b),
         None => SearchControl::unlimited(),
@@ -1134,13 +1095,7 @@ fn deadline_anytime_row<P: GamePosition>(
 
 fn deadline_equality_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> DeadlineRow {
     use er_parallel::{run_er_threads, run_er_threads_id, AspirationConfig, Hooks};
-    let cfg = ErParallelConfig {
-        serial_depth: tree.serial_depth,
-        order: tree.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(tree.serial_depth, tree.order);
     let fixed = run_er_threads(&tree.root, tree.depth, threads, &cfg);
     let id = run_er_threads_id(
         &tree.root,
@@ -1259,13 +1214,7 @@ fn tt_row<P: GamePosition + tt::Zobrist>(
 ) -> TtRow {
     use er_parallel::{run_er_sim_with, run_er_threads, run_er_threads_with, Hooks};
     use gametree::Window;
-    let cfg = ErParallelConfig {
-        serial_depth,
-        order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(serial_depth, order);
     // A fresh table per configuration keeps rows independent.
     let table = tt::TranspositionTable::with_bits(bits.max(2));
     let (value, stats, tt_stats, elapsed_ms) = match (backend, bits) {
@@ -1445,13 +1394,7 @@ pub fn trace_rows(thread_counts: &[usize]) -> Vec<TraceRow> {
     use gametree::Window;
     use trace::{EventKind, SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
-    let cfg = ErParallelConfig {
-        serial_depth: spec.serial_depth,
-        order: spec.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(spec.serial_depth, spec.order);
     let exact = alphabeta(&spec.root, spec.depth, spec.order).value;
     thread_counts
         .iter()
@@ -1520,13 +1463,7 @@ pub const SPECULATION_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
 /// timings — the same curve on every run.
 pub fn speculation_rows() -> Vec<trace::SpecSplit> {
     let spec = &crate::trees::random_trees()[0];
-    let cfg = ErParallelConfig {
-        serial_depth: spec.serial_depth,
-        order: spec.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(spec.serial_depth, spec.order);
     er_parallel::mandatory::speculation_splits(&spec.root, spec.depth, &SPECULATION_COUNTS, &cfg)
 }
 
@@ -1551,15 +1488,14 @@ pub struct ChromeExport {
 /// O1 rounds, and a budgeted deepening R1 run that trips its deadline.
 ///
 /// Most kinds appear in any threaded run; the conditional ones are each
-/// forced by the run shaped for them. AspirationResearch and QExtension
-/// are driver-row instants only the aspiration driver emits: a depth-3
-/// tight-window deepening of O1 with quiescent selectivity yields both
-/// deterministically (the Othello root value oscillates with search
-/// parity, so every probe fails out of its ±1 window, and O1's frontier
-/// always holds tactically unstable leaves to extend) — and, being a
-/// deepening run, it also pins IdDepthStart/Finish. StealHit is
-/// scheduling-dependent, so bounded steal-rich rounds repeat until one
-/// survives in a ring. AbortTrip needs a wall-clock budget sized to trip
+/// forced by the run shaped for them. AspirationResearch is a driver-row
+/// instant only the aspiration driver emits: a depth-3 tight-window
+/// deepening of O1 yields it deterministically (the Othello root value
+/// oscillates with search parity, so every probe fails out of its ±1
+/// window) — and, being a deepening run, it also pins
+/// IdDepthStart/Finish. StealHit is scheduling-dependent, so bounded
+/// steal-rich rounds, which like every threaded run solve their serial
+/// frontier with alpha-beta, repeat until one survives in a ring. AbortTrip needs a wall-clock budget sized to trip
 /// the R1 run mid-search; budgets are timing-dependent, so the harness
 /// retries across a spread until coverage is total — the *assertions*
 /// on the returned export are about event structure, never timing
@@ -1570,13 +1506,7 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
     use std::time::Duration;
     use trace::{SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
-    let cfg = ErParallelConfig {
-        serial_depth: spec.serial_depth,
-        order: spec.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(spec.serial_depth, spec.order);
     const BUDGETS_MS: [u64; 12] = [40, 20, 80, 10, 160, 60, 5, 320, 100, 30, 640, 15];
     // A steal-shaped round landed a ring-surviving hit on its first try in
     // every attempt of ten 4-thread exports on a 2-vCPU host, and ~3 times
@@ -1590,24 +1520,18 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
     const EXPORT_RING_CAPACITY: usize = 2048;
     let mut missing: Vec<&'static str> = Vec::new();
     let o1 = &crate::trees::othello_trees()[0];
-    let sel_cfg = ErParallelConfig {
-        serial_depth: o1.serial_depth,
-        order: o1.order,
-        spec: Speculation::ALL,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::QUIESCENT,
-    };
+    let o1_cfg = ErParallelConfig::new(o1.serial_depth, o1.order);
     for (i, &budget) in BUDGETS_MS.iter().enumerate() {
         let tracer = Tracer::with_capacity(EXPORT_RING_CAPACITY);
         // Driver-level kinds first: the O1 prelude's worker rows merge
         // with (and may be partly overwritten by) the R1 run's, but
-        // AspirationResearch and QExtension live on the driver row,
-        // whose handful of instants the ring never evicts.
+        // AspirationResearch lives on the driver row, whose handful of
+        // instants the ring never evicts.
         let _ = run_er_threads_id(
             &o1.root,
             3,
             threads,
-            &sel_cfg,
+            &o1_cfg,
             AspirationConfig::narrow(1),
             Hooks::default()
                 .with_tt(&tt::TranspositionTable::with_bits(14))
@@ -1618,13 +1542,15 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
         // still full, and the ring's overwrite-oldest policy then has to
         // keep the event to the end of the run. A shallow Othello search
         // over a thin serial frontier keeps the deques full of stealable
-        // jobs while keeping the run short; worker
-        // rows merge across runs, so repeating it until a hit survives
-        // in some ring (bounded rounds) accumulates — the budgeted run
-        // below is then responsible for AbortTrip alone.
+        // jobs while keeping the run short: with the alpha-beta frontier
+        // at 3 a hit survived in fewer than half of 200 traced 4-thread
+        // rounds, at 1 in all of them. Worker rows merge across runs, so
+        // repeating it until a hit survives in some ring (bounded rounds)
+        // accumulates — the budgeted run below is then responsible for
+        // AbortTrip alone.
         let steal_cfg = ErParallelConfig {
-            serial_depth: 3,
-            ..sel_cfg
+            serial_depth: 1,
+            ..o1_cfg
         };
         for _ in 0..STEAL_ROUNDS {
             let _ = er_parallel::run_er_threads_with(

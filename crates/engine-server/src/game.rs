@@ -162,14 +162,6 @@ impl GamePosition for AnyPos {
             AnyPos::Checkers(p) => p.degree(),
         }
     }
-
-    fn unstable(&self) -> bool {
-        match self {
-            AnyPos::Random(p) => p.unstable(),
-            AnyPos::Othello(p) => p.unstable(),
-            AnyPos::Checkers(p) => p.unstable(),
-        }
-    }
 }
 
 /// Per-family hash salts (arbitrary odd constants).

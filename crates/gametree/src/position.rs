@@ -49,16 +49,6 @@ pub trait GamePosition: Clone + Send + Sync {
     fn degree(&self) -> usize {
         self.moves().len()
     }
-
-    /// True when this position is *tactically unstable*: its static value
-    /// is not to be trusted at a depth horizon, and a quiescence-style
-    /// extension (when enabled) should search it a ply or two deeper
-    /// instead. The default — always stable — keeps every game that has no
-    /// instability notion bit-identical with the extension knob on or off;
-    /// Othello overrides it (forced passes and large mobility swings).
-    fn unstable(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -18,18 +18,12 @@ pub struct SearchStats {
     pub sorts: u64,
     /// Beta cutoffs taken.
     pub cutoffs: u64,
-    /// Widened re-searches after a window probe failed outside its bounds
-    /// (PVS null-window re-searches and aspiration re-searches).
-    pub re_searches: u64,
     /// Beta cutoffs produced by a move that was already a killer at its
     /// ply when the cutoff happened.
     pub killer_hits: u64,
     /// Beta cutoffs produced by a non-killer move with a positive history
     /// score (its ordering was history-ranked).
     pub history_hits: u64,
-    /// Horizon leaves extended by the quiescence rule instead of being
-    /// statically evaluated.
-    pub q_extensions: u64,
 }
 
 impl SearchStats {
@@ -57,10 +51,8 @@ impl SearchStats {
         self.eval_calls += other.eval_calls;
         self.sorts += other.sorts;
         self.cutoffs += other.cutoffs;
-        self.re_searches += other.re_searches;
         self.killer_hits += other.killer_hits;
         self.history_hits += other.history_hits;
-        self.q_extensions += other.q_extensions;
     }
 }
 
@@ -106,10 +98,8 @@ mod tests {
             eval_calls: 3,
             sorts: 4,
             cutoffs: 5,
-            re_searches: 6,
-            killer_hits: 7,
-            history_hits: 8,
-            q_extensions: 9,
+            killer_hits: 6,
+            history_hits: 7,
         };
         a.merge(&a.clone());
         assert_eq!(
@@ -120,10 +110,8 @@ mod tests {
                 eval_calls: 6,
                 sorts: 8,
                 cutoffs: 10,
-                re_searches: 12,
-                killer_hits: 14,
-                history_hits: 16,
-                q_extensions: 18,
+                killer_hits: 12,
+                history_hits: 14,
             }
         );
     }

@@ -43,34 +43,7 @@ impl OthelloPos {
     pub fn new(board: Board) -> OthelloPos {
         OthelloPos { board }
     }
-
-    /// True when the position is tactically unstable at a depth horizon —
-    /// the quiescence-extension trigger (`SelectivityConfig` in
-    /// `search-serial`). Two conditions, both cheap bitboard counts:
-    ///
-    /// * a *forced pass* (the mover has no placement but the opponent
-    ///   does): the static evaluator scores a position where the initiative
-    ///   just changed hands for free, the classic horizon distortion;
-    /// * a *large mobility swing* — one side has at least
-    ///   [`MOBILITY_SWING_THRESHOLD`] more legal placements than the other:
-    ///   mobility dominates the midgame evaluator, and lopsided mobility is
-    ///   exactly where one more ply routinely flips the assessment.
-    ///
-    /// A finished game (neither side can move) is terminal, never unstable.
-    pub fn tactically_unstable(&self) -> bool {
-        let own = self.board.legal_moves().count_ones();
-        let opp = self.board.swapped().legal_moves().count_ones();
-        if own == 0 {
-            return opp > 0;
-        }
-        own.abs_diff(opp) >= MOBILITY_SWING_THRESHOLD
-    }
 }
-
-/// Mobility-swing threshold of [`OthelloPos::tactically_unstable`]: the
-/// smallest legal-placement difference between mover and opponent that
-/// counts as unstable.
-pub const MOBILITY_SWING_THRESHOLD: u32 = 6;
 
 impl GamePosition for OthelloPos {
     type Move = Move;
@@ -113,10 +86,6 @@ impl GamePosition for OthelloPos {
 
     fn evaluate(&self) -> Value {
         evaluate(&self.board)
-    }
-
-    fn unstable(&self) -> bool {
-        self.tactically_unstable()
     }
 }
 
@@ -184,39 +153,6 @@ mod tests {
         }
         assert!(p.board.occupancy() <= 64);
         assert!(p.board.game_over());
-    }
-
-    #[test]
-    fn initial_position_is_stable() {
-        // Both sides have four placements: no swing, no forced pass.
-        assert!(!OthelloPos::initial().tactically_unstable());
-    }
-
-    #[test]
-    fn forced_pass_is_unstable() {
-        let b = Board::from_str_board(
-            ". . . . . . . o
-             . . . . . . . o
-             . . . . . . . x
-             . . . . . . . .
-             . . . . . . . .
-             . . . . . . . .
-             . . . . . . . .
-             . . . . . . . .",
-        );
-        let p = OthelloPos::new(b);
-        assert_eq!(p.board.legal_moves(), 0, "mover must be forced to pass");
-        assert!(p.board.swapped().has_moves());
-        assert!(p.tactically_unstable());
-    }
-
-    #[test]
-    fn finished_game_is_terminal_not_unstable() {
-        let b = Board {
-            own: u64::MAX >> 32,
-            opp: u64::MAX << 32,
-        };
-        assert!(!OthelloPos::new(b).tactically_unstable());
     }
 
     #[test]

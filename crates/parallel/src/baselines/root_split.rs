@@ -8,10 +8,10 @@
 //! between processors. This quantifies how much the window sharing of
 //! every real algorithm (tree-splitting onward) is actually worth.
 
-use gametree::{GamePosition, SearchStats, Value};
+use gametree::{GamePosition, SearchStats, Value, Window};
 use problem_heap::CostModel;
-use search_serial::alphabeta;
 use search_serial::ordering::{ordered_children, OrderPolicy};
+use search_serial::{alphabeta_with, Hooks};
 
 /// Result of a naive root-partition run.
 #[derive(Clone, Copy, Debug)]
@@ -52,11 +52,11 @@ pub fn run_root_split<P: GamePosition>(
 
     // Round-robin assignment; each processor works through its children
     // sequentially with NO shared bounds (each child gets the full window,
-    // negated for the child's point of view).
+    // negated for the child's point of view), searched at its real ply 1.
     let mut loads = vec![cost.expand; k];
     let mut value = Value::NEG_INF;
     for (i, child) in kids.iter().enumerate() {
-        let r = alphabeta(child, depth - 1, order);
+        let r = alphabeta_with(child, depth - 1, Window::FULL, order, 1, Hooks::default());
         stats.merge(&r.stats);
         loads[i % k] += cost.serial_ticks(&r.stats);
         value = value.max(-r.value);
@@ -84,6 +84,31 @@ mod tests {
                 assert_eq!(r.value, exact, "seed {seed} k {k}");
             }
         }
+    }
+
+    #[test]
+    fn root_children_are_searched_at_their_real_ply() {
+        // OTHELLO sorts above ply five. A child searched as if it were the
+        // root would sort again at real ply 5, so the partition's counters
+        // must equal the root's expansion plus one search per child
+        // anchored at ply 1 — and differ from searches anchored at ply 0.
+        let (_, root) = othello::configs::all().remove(0);
+        let (depth, order) = (6, OrderPolicy::OTHELLO);
+        let r = run_root_split(&root, depth, 4, order, &CostModel::default());
+        let at_ply = |ply: u32| {
+            let mut stats = SearchStats::new();
+            let kids = ordered_children(&root, 0, order, &mut stats);
+            stats.interior_nodes += 1;
+            for kid in &kids {
+                let w = Window::FULL;
+                let s = alphabeta_with(kid, depth - 1, w, order, ply, Hooks::default()).stats;
+                stats.merge(&s);
+            }
+            stats
+        };
+        let (real, shifted) = (at_ply(1), at_ply(0));
+        assert_ne!(real.sorts, shifted.sorts, "the root must reach ply 5");
+        assert_eq!(r.stats, real);
     }
 
     #[test]

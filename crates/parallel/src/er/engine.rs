@@ -963,12 +963,9 @@ impl<P: GamePosition> ErWorker<P> {
     }
 
     /// The serial-search configuration forwarded to frontier jobs: the
-    /// static ordering policy plus the selectivity knobs.
+    /// static ordering policy.
     pub fn serial_cfg(&self) -> ErConfig {
-        ErConfig {
-            order: self.cfg.order,
-            sel: self.cfg.sel,
-        }
+        ErConfig::new(self.cfg.order)
     }
 }
 

@@ -273,7 +273,6 @@ impl IdStepper {
     ) -> Result<(Value, u64), AbortReason> {
         let (probe_value, probe_stats) = search(depth, window, ctl)?;
         let mut nodes = probe_stats.nodes();
-        let mut q_ext = probe_stats.q_extensions;
         let failed =
             window != Window::FULL && (probe_value >= window.beta || probe_value <= window.alpha);
         let value = if failed {
@@ -289,7 +288,6 @@ impl IdStepper {
             };
             let (v, s) = search(depth, re, ctl)?;
             nodes += s.nodes();
-            q_ext += s.q_extensions;
             v
         } else {
             if window != Window::FULL {
@@ -297,9 +295,6 @@ impl IdStepper {
             }
             probe_value
         };
-        if q_ext > 0 {
-            tracer.driver_instant(EventKind::QExtension, q_ext.min(u64::from(u32::MAX)) as u32);
-        }
         Ok((value, nodes))
     }
 
@@ -419,10 +414,8 @@ impl AspirationConfig {
 /// each iteration's worker activity lands on the same per-worker timeline
 /// rows, and the driver row records an [`EventKind::IdDepthStart`] /
 /// [`EventKind::IdDepthFinish`] pair per depth, one
-/// [`EventKind::AspirationResearch`] per widened re-search, an
-/// [`EventKind::QExtension`] per depth whose serial frontier extended
-/// unstable leaves, and an [`EventKind::AbortTrip`] when deepening stops
-/// early.
+/// [`EventKind::AspirationResearch`] per widened re-search and an
+/// [`EventKind::AbortTrip`] when deepening stops early.
 pub fn run_er_threads_id<P, T, C, R>(
     pos: &P,
     max_depth: u32,

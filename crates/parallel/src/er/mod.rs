@@ -7,7 +7,7 @@ pub mod threads;
 
 use gametree::{SearchStats, Value};
 use problem_heap::{CostModel, SimReport};
-use search_serial::{OrderPolicy, SelectivityConfig};
+use search_serial::OrderPolicy;
 
 /// Which of §5's three speculative-work mechanisms are enabled. The paper's
 /// implementation "exploits all three sources"; the ablation experiments
@@ -43,7 +43,9 @@ impl Speculation {
     };
 }
 
-/// Configuration of a parallel ER run.
+/// Configuration of a parallel ER run. Each back-end has one frontier
+/// search: the simulator solves serial-frontier jobs with serial ER, the
+/// threaded back-end with alpha-beta.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ErParallelConfig {
     /// Remaining depth at or below which a taken node is solved by one
@@ -61,34 +63,37 @@ pub struct ErParallelConfig {
     pub spec: Speculation,
     /// Virtual costs of the primitive operations.
     pub cost: CostModel,
-    /// Selective-deepening knobs forwarded to the serial frontier
-    /// (quiescence extension). [`SelectivityConfig::OFF`] keeps runs
-    /// bit-identical to builds that predate the knob.
-    pub sel: SelectivityConfig,
+    /// Placeholder that carries nothing. Only perfbench's adapter still
+    /// reads it, to fill the `sel` of its serial [`ErConfig`] literal;
+    /// the next change to the benchmark deletes both. Build
+    /// configurations with [`ErParallelConfig::new`].
+    ///
+    /// [`ErConfig`]: search_serial::ErConfig
+    pub sel: (),
 }
 
 impl ErParallelConfig {
-    /// The paper's random-tree configuration for a given serial depth.
-    pub fn random_tree(serial_depth: u32) -> ErParallelConfig {
+    /// Serial depth `serial_depth` and ordering `order`, with every
+    /// speculation mechanism on and the default cost model.
+    pub fn new(serial_depth: u32, order: OrderPolicy) -> ErParallelConfig {
         ErParallelConfig {
             serial_depth,
-            order: OrderPolicy::NATURAL,
+            order,
             spec: Speculation::ALL,
             cost: CostModel::default(),
-            sel: SelectivityConfig::OFF,
+            sel: (),
         }
+    }
+
+    /// The paper's random-tree configuration for a given serial depth.
+    pub fn random_tree(serial_depth: u32) -> ErParallelConfig {
+        ErParallelConfig::new(serial_depth, OrderPolicy::NATURAL)
     }
 
     /// The paper's Othello configuration (sorting above ply five, serial
     /// depth five).
     pub fn othello() -> ErParallelConfig {
-        ErParallelConfig {
-            serial_depth: 5,
-            order: OrderPolicy::OTHELLO,
-            spec: Speculation::ALL,
-            cost: CostModel::default(),
-            sel: SelectivityConfig::OFF,
-        }
+        ErParallelConfig::new(5, OrderPolicy::OTHELLO)
     }
 }
 

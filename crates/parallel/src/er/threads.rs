@@ -642,21 +642,12 @@ where
     assert!(threads > 0);
     let (owners, stealers): (Vec<_>, Vec<_>) =
         (0..threads).map(|_| ws_deque::<JobRef>(DEQUE_CAP)).unzip();
-    // Alpha-beta solves the serial frontier, lifted by the grain rule,
-    // except under quiescence extension, which only serial ER implements.
-    let (frontier, cfg) = if cfg.sel.enabled() {
-        (Frontier::Er, *cfg)
-    } else {
-        let serial_depth = lifted_serial_depth(pos, depth, cfg.serial_depth);
-        (
-            Frontier::AlphaBeta,
-            ErParallelConfig {
-                serial_depth,
-                ..*cfg
-            },
-        )
+    // Alpha-beta solves the serial frontier, lifted by the grain rule.
+    let cfg = ErParallelConfig {
+        serial_depth: lifted_serial_depth(pos, depth, cfg.serial_depth),
+        ..*cfg
     };
-    let worker = ErWorker::new(pos.clone(), depth, window, cfg, frontier);
+    let worker = ErWorker::new(pos.clone(), depth, window, cfg, Frontier::AlphaBeta);
     let pool = Pool {
         scfg: worker.serial_cfg(),
         positions: worker.positions(),

@@ -8,7 +8,7 @@ use gametree::arena::{leaf, node, ArenaTree, TreeSpec};
 use gametree::random::RandomTreeSpec;
 use gametree::{GamePosition, Value, Window};
 use proptest::prelude::*;
-use search_serial::{alphabeta, negmax, ErConfig, OrderPolicy, SelectivityConfig};
+use search_serial::{alphabeta, negmax, ErConfig, OrderPolicy};
 
 /// The eight on/off combinations of §5's three speculation mechanisms.
 fn all_speculations() -> impl Iterator<Item = Speculation> {
@@ -38,15 +38,12 @@ proptest! {
     ) {
         let root = ArenaTree::root_of(&spec);
         let cfg = ErParallelConfig {
-            serial_depth,
-            order: OrderPolicy::NATURAL,
             spec: Speculation {
                 parallel_refutation: bits & 1 != 0,
                 multiple_enodes: bits & 2 != 0,
                 early_choice: bits & 4 != 0,
             },
-            cost: problem_heap::CostModel::default(),
-            sel: SelectivityConfig::OFF,
+            ..ErParallelConfig::random_tree(serial_depth)
         };
         let r = run_er_sim(&root, 32, k, &cfg);
         prop_assert_eq!(r.value, negmax(&root, 32).value);
@@ -86,14 +83,10 @@ proptest! {
 /// Executes `job` and applies its outcome; `true` once the root is done.
 fn complete<P: GamePosition>(w: &mut ErWorker<P>, job: &Job, cfg: &ErParallelConfig) -> bool {
     let pos = job.task.needs_pos().then(|| w.node_pos(job.id).clone());
-    let scfg = ErConfig {
-        order: cfg.order,
-        sel: cfg.sel,
-    };
     let outcome = execute_task(
         &job.task,
         pos.as_ref(),
-        scfg,
+        ErConfig::new(cfg.order),
         search_serial::Hooks::default(),
     );
     w.apply(job.id, outcome)
@@ -306,13 +299,7 @@ fn threads_match_negmax_on_shallow_othello() {
     let (_, root) = othello::configs::all().remove(0);
     // serial_depth 0: every leaf flows through the heap's depth-0 path, so
     // the memoized static evaluations are observable as cached-leaf hits.
-    let cfg = ErParallelConfig {
-        serial_depth: 0,
-        order: search_serial::OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(0, search_serial::OrderPolicy::OTHELLO);
     let exact = negmax(&root, 4).value;
     for threads in [1usize, 2, 4, 8] {
         let r = run_er_threads(&root, 4, threads, &cfg);
@@ -328,13 +315,7 @@ fn threads_match_negmax_on_shallow_othello() {
 fn threads_match_negmax_on_shallow_checkers() {
     // C1's root at reduced depth, with forced-capture move generation.
     let root = checkers::c1();
-    let cfg = ErParallelConfig {
-        serial_depth: 3,
-        order: search_serial::OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(3, search_serial::OrderPolicy::OTHELLO);
     let exact = negmax(&root, 5).value;
     for threads in [1usize, 2, 4, 8] {
         let r = run_er_threads(&root, 5, threads, &cfg);

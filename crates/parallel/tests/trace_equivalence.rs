@@ -13,12 +13,12 @@
 
 use er_parallel::{
     run_er_threads, run_er_threads_id, run_er_threads_with, AspirationConfig, ErParallelConfig,
-    Hooks, Speculation,
+    Hooks,
 };
 use gametree::random::RandomTreeSpec;
 use gametree::Window;
 use proptest::prelude::*;
-use search_serial::{negmax, OrderPolicy, SelectivityConfig};
+use search_serial::{negmax, OrderPolicy};
 use trace::{EventKind, Tracer};
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
@@ -79,13 +79,7 @@ fn traced_tt_matches_untraced_on_othello() {
     // A real transposing game with sorted move generation, each run on its
     // own fresh table; the traced handle must also record the traffic.
     let (_, root) = othello::configs::all().remove(0);
-    let cfg = ErParallelConfig {
-        serial_depth: 0,
-        order: OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(0, OrderPolicy::OTHELLO);
     let exact = negmax(&root, 4).value;
     for threads in [1usize, 4] {
         let traced_table = tt::TranspositionTable::with_bits(14);
@@ -128,13 +122,7 @@ fn traced_tt_matches_untraced_on_othello() {
 fn traced_values_match_untraced_on_checkers() {
     // Forced-capture move generation with a nonzero serial frontier.
     let root = checkers::c1();
-    let cfg = ErParallelConfig {
-        serial_depth: 3,
-        order: OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost: problem_heap::CostModel::default(),
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(3, OrderPolicy::OTHELLO);
     let exact = negmax(&root, 5).value;
     for threads in THREAD_MATRIX {
         let tracer = Tracer::new();

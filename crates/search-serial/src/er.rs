@@ -27,7 +27,7 @@ use tt::{Bound, TtAccess};
 
 use crate::control::{CtlAccess, CtlHook, CtlSearchResult};
 use crate::hooks::{run_serial, Hooks, SerialBody};
-use crate::ordering::{note_cutoff, rank_key, OrdAccess, OrderPolicy, SelectivityConfig};
+use crate::ordering::{note_cutoff, rank_key, OrdAccess, OrderPolicy};
 use crate::SearchResult;
 
 /// Configuration for serial ER.
@@ -38,25 +38,24 @@ pub struct ErConfig {
     /// never statically sorted — ER orders them by tentative search values
     /// instead (§7: "Successors of e-nodes were also not sorted").
     pub order: OrderPolicy,
-    /// Horizon selectivity: quiescence extension of tactically unstable
-    /// depth-0 leaves. [`SelectivityConfig::OFF`] (the default in every
-    /// named configuration) keeps leaf handling bit-identical to the
-    /// pre-extension code.
-    pub sel: SelectivityConfig,
+    /// Placeholder that carries nothing. Only perfbench's adapter still
+    /// names it, in its `ErConfig` literal; the next change to the
+    /// benchmark deletes it together with `ErParallelConfig::sel`. Build
+    /// configurations with [`ErConfig::new`].
+    pub sel: (),
 }
 
 impl ErConfig {
     /// No static sorting anywhere (the paper's random-tree setting).
-    pub const NATURAL: ErConfig = ErConfig {
-        order: OrderPolicy::NATURAL,
-        sel: SelectivityConfig::OFF,
-    };
+    pub const NATURAL: ErConfig = ErConfig::new(OrderPolicy::NATURAL);
 
     /// The paper's Othello setting: sort above ply five.
-    pub const OTHELLO: ErConfig = ErConfig {
-        order: OrderPolicy::OTHELLO,
-        sel: SelectivityConfig::OFF,
-    };
+    pub const OTHELLO: ErConfig = ErConfig::new(OrderPolicy::OTHELLO);
+
+    /// Serial ER under `order`.
+    pub const fn new(order: OrderPolicy) -> ErConfig {
+        ErConfig { order, sel: () }
+    }
 }
 
 /// A node of the partially-materialized ER search tree. Children persist
@@ -82,9 +81,6 @@ struct ErNode<P: GamePosition> {
     /// sorting probe already evaluated this position — a later leaf
     /// evaluation reuses it instead of calling the evaluator again.
     static_eval: Option<Value>,
-    /// Remaining quiescence-extension budget on this root-to-leaf path
-    /// (see [`SelectivityConfig`]); 0 when the knob is off.
-    qleft: u32,
 }
 
 impl<P: GamePosition> ErNode<P> {
@@ -100,15 +96,7 @@ impl<P: GamePosition> ErNode<P> {
             kids: Vec::new(),
             expanded: false,
             static_eval: None,
-            qleft: 0,
         }
-    }
-
-    /// A search root carrying the configured extension budget.
-    fn root(pos: P, depth: u32, ply: u32, cfg: ErConfig) -> ErNode<P> {
-        let mut n = ErNode::new(pos, depth, ply);
-        n.qleft = cfg.sel.q_extend;
-        n
     }
 
     /// The node's static value, from the memo when a sorting probe already
@@ -130,12 +118,6 @@ impl<P: GamePosition> ErNode<P> {
     /// index matches `hint` (a stored best move) to the front. Returns the
     /// number of children (0 for terminals and depth-limit leaves) and
     /// whether the hint matched.
-    ///
-    /// A depth-0 node with extension budget left whose position is
-    /// tactically unstable is promoted to depth 1 first — the quiescence
-    /// extension: one more ply is searched before any static value is
-    /// trusted. `qleft == 0` (the default) skips even the instability
-    /// probe, keeping default-off leaf handling bit-identical.
     fn expand<O: OrdAccess>(
         &mut self,
         sort: bool,
@@ -146,11 +128,6 @@ impl<P: GamePosition> ErNode<P> {
         let mut hint_used = false;
         if !self.expanded {
             self.expanded = true;
-            if self.depth == 0 && self.qleft > 0 && self.pos.degree() > 0 && self.pos.unstable() {
-                self.depth = 1;
-                self.qleft -= 1;
-                stats.q_extensions += 1;
-            }
             if self.depth > 0 {
                 let mut kids: Vec<ErNode<P>> = self
                     .pos
@@ -160,7 +137,6 @@ impl<P: GamePosition> ErNode<P> {
                     .map(|(i, c)| {
                         let mut k = ErNode::new(c, self.depth - 1, self.ply + 1);
                         k.nat = i as u16;
-                        k.qleft = self.qleft;
                         k
                     })
                     .collect();
@@ -291,7 +267,7 @@ impl<P: GamePosition, O: OrdAccess> SerialBody<P> for ErRoot<'_, P, O> {
         stats: &mut SearchStats,
     ) -> Result<Value, Value> {
         let (alpha, beta, cfg, ord) = (self.window.alpha, self.window.beta, self.cfg, self.ord);
-        let mut n = ErNode::root(self.pos.clone(), self.depth, self.start_ply, cfg);
+        let mut n = ErNode::new(self.pos.clone(), self.depth, self.start_ply);
         if !self.refute {
             return er(&mut n, alpha, beta, cfg, tt, ctl, ord, stats).ok_or(n.value);
         }
@@ -778,51 +754,6 @@ mod tests {
         let r = er_search(&root, 6, ErConfig::NATURAL);
         assert_eq!(r.stats.killer_hits, 0);
         assert_eq!(r.stats.history_hits, 0);
-        assert_eq!(r.stats.q_extensions, 0);
-    }
-
-    #[test]
-    fn quiescence_extension_is_off_by_default() {
-        // SelectivityConfig::OFF never probes instability: identical stats
-        // to the pre-extension code even on a game that reports unstable
-        // positions (TicTacToe uses the default `unstable`, so instead we
-        // assert the budget plumbing: OFF yields zero extensions).
-        let r = er_search(&TicTacToe::initial(), 5, ErConfig::NATURAL);
-        assert_eq!(r.stats.q_extensions, 0);
-    }
-
-    #[test]
-    fn quiescence_extension_deepens_unstable_leaves() {
-        // An always-unstable wrapper: every depth-0 expansion with budget
-        // left must extend, so a depth-d search behaves like depth d+q.
-        #[derive(Clone)]
-        struct Jittery(gametree::random::RandomPos);
-        impl GamePosition for Jittery {
-            type Move = <gametree::random::RandomPos as GamePosition>::Move;
-            fn moves_into(&self, out: &mut Vec<Self::Move>) {
-                self.0.moves_into(out)
-            }
-            fn play(&self, mv: &Self::Move) -> Jittery {
-                Jittery(self.0.play(mv))
-            }
-            fn evaluate(&self) -> Value {
-                self.0.evaluate()
-            }
-            fn unstable(&self) -> bool {
-                true
-            }
-        }
-        let root = Jittery(RandomTreeSpec::new(5, 3, 6).root());
-        let cfg_q = ErConfig {
-            order: OrderPolicy::NATURAL,
-            sel: SelectivityConfig { q_extend: 2 },
-        };
-        let shallow = er_search(&root, 2, cfg_q);
-        assert!(shallow.stats.q_extensions > 0, "budget must be spent");
-        // Every leaf is unstable, so a 2-ply budget turns depth 2 into
-        // depth 4 exactly.
-        let deep = er_search(&root, 4, ErConfig::NATURAL);
-        assert_eq!(shallow.value, deep.value);
     }
 
     #[test]

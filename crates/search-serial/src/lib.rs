@@ -46,5 +46,5 @@ pub use negmax::negmax;
 pub use nodeep::alphabeta_nodeep;
 pub use ordering::{
     note_cutoff, ordered_children_indexed, ordered_children_ranked, rank_children, rank_key,
-    splice_hint, OrdAccess, OrderPolicy, OrderedChild, OrderingTables, SelectivityConfig,
+    splice_hint, OrdAccess, OrderPolicy, OrderedChild, OrderingTables,
 };

@@ -49,34 +49,6 @@ impl OrderPolicy {
     }
 }
 
-/// Search selectivity at the depth horizon.
-///
-/// When `q_extend > 0`, a node that reaches depth 0 *tactically unstable*
-/// ([`GamePosition::unstable`]) is searched one more ply instead of being
-/// statically evaluated, up to `q_extend` extra plies per root-to-leaf
-/// path. The default ([`SelectivityConfig::OFF`]) makes the check compile
-/// to the pre-extension leaf code, keeping default-off runs bit-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SelectivityConfig {
-    /// Maximum extra plies one root-to-leaf path may gain from quiescence
-    /// extensions (0 disables the rule; the paper-faithful setting).
-    pub q_extend: u32,
-}
-
-impl SelectivityConfig {
-    /// No extensions — every horizon leaf trusts the static evaluator.
-    pub const OFF: SelectivityConfig = SelectivityConfig { q_extend: 0 };
-
-    /// Extend tactically unstable horizon leaves up to two extra plies.
-    pub const QUIESCENT: SelectivityConfig = SelectivityConfig { q_extend: 2 };
-
-    /// True iff the extension rule is active at all.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.q_extend > 0
-    }
-}
-
 /// Plies of killer slots kept; cutoffs deeper than this are not recorded
 /// (search depths in this repo are far below it).
 pub const KILLER_PLIES: usize = 64;
@@ -762,13 +734,6 @@ mod tests {
         // The disabled handle records and classifies nothing.
         note_cutoff((), 2, 3, 6, &mut stats);
         assert_eq!((stats.killer_hits, stats.history_hits), (1, 1));
-    }
-
-    #[test]
-    fn selectivity_off_is_disabled() {
-        assert!(!SelectivityConfig::OFF.enabled());
-        assert!(SelectivityConfig::QUIESCENT.enabled());
-        assert_eq!(SelectivityConfig::QUIESCENT.q_extend, 2);
     }
 
     #[test]

@@ -192,7 +192,6 @@ mod tests {
                 events: vec![
                     ev(EventKind::IdDepthStart, 0, 0, 1),
                     ev(EventKind::AspirationResearch, 9000, 0, 1),
-                    ev(EventKind::QExtension, 12000, 0, 2),
                     ev(EventKind::IdDepthFinish, 17000, 0, 1),
                 ],
                 dropped: 0,

@@ -5,7 +5,7 @@
 //! allocation.
 
 /// Number of declared event kinds ([`EventKind::ALL`] has this length).
-pub const KIND_COUNT: usize = 15;
+pub const KIND_COUNT: usize = 14;
 
 /// The typed events the back-ends record. Span kinds carry a duration;
 /// instant kinds are points in time (`dur_ns == 0`).
@@ -46,9 +46,6 @@ pub enum EventKind {
     /// Instant: an aspiration probe failed outside its window and the
     /// driver launched a widened re-search (`arg` = depth).
     AspirationResearch = 13,
-    /// Instant: a depth's serial frontier extended unstable horizon leaves
-    /// (`arg` = number of quiescence extensions this depth).
-    QExtension = 14,
 }
 
 impl EventKind {
@@ -68,7 +65,6 @@ impl EventKind {
         EventKind::IdDepthFinish,
         EventKind::AbortTrip,
         EventKind::AspirationResearch,
-        EventKind::QExtension,
     ];
 
     /// Stable human-readable name (also the Chrome-trace event name).
@@ -88,7 +84,6 @@ impl EventKind {
             EventKind::IdDepthFinish => "id-depth-finish",
             EventKind::AbortTrip => "abort-trip",
             EventKind::AspirationResearch => "aspiration-research",
-            EventKind::QExtension => "q-extension",
         }
     }
 
@@ -105,7 +100,6 @@ impl EventKind {
                 "id"
             }
             EventKind::AbortTrip => "abort",
-            EventKind::QExtension => "sel",
         }
     }
 

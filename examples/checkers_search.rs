@@ -22,14 +22,7 @@ fn main() {
 
     let cost = CostModel::default();
     let ab = alphabeta(&pos, depth, OrderPolicy::OTHELLO);
-    let er = er_search(
-        &pos,
-        depth,
-        ErConfig {
-            order: OrderPolicy::OTHELLO,
-            sel: SelectivityConfig::OFF,
-        },
-    );
+    let er = er_search(&pos, depth, ErConfig::OTHELLO);
     assert_eq!(ab.value, er.value);
     let serial_best = cost
         .serial_ticks(&ab.stats)
@@ -41,13 +34,7 @@ fn main() {
         er.stats.nodes()
     );
 
-    let cfg = ErParallelConfig {
-        serial_depth: 6,
-        order: OrderPolicy::OTHELLO,
-        spec: Speculation::ALL,
-        cost,
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(6, OrderPolicy::OTHELLO);
     println!("\nparallel ER vs tree-splitting (speedup vs fastest serial):");
     for k in [4usize, 8, 16] {
         let e = run_er_sim(&pos, depth, k, &cfg);

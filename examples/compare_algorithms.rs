@@ -28,13 +28,7 @@ fn main() {
         "random tree (seed {seed}): degree {degree}, {height} ply; fastest serial = {serial_best} ticks\n"
     );
 
-    let er_cfg = ErParallelConfig {
-        serial_depth,
-        order: OrderPolicy::NATURAL,
-        spec: Speculation::ALL,
-        cost,
-        sel: SelectivityConfig::OFF,
-    };
+    let er_cfg = ErParallelConfig::random_tree(serial_depth);
     let guess = alphabeta(&root, height - 2, OrderPolicy::NATURAL).value;
 
     println!(

@@ -33,13 +33,7 @@ fn main() {
         cost.serial_ticks(&er.stats)
     );
 
-    let cfg = ErParallelConfig {
-        serial_depth,
-        order: OrderPolicy::NATURAL,
-        spec: Speculation::ALL,
-        cost,
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::random_tree(serial_depth);
     println!(
         "\n{:>6} {:>9} {:>11} {:>9} {:>11}",
         "procs", "speedup", "efficiency", "nodes", "starvation"

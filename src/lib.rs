@@ -186,7 +186,6 @@ pub mod prelude {
     pub use search_serial::{
         alphabeta, alphabeta_nodeep, alphabeta_with, er_search, er_search_with, negmax,
         CtlSearchResult, ErConfig, Hooks, OrderPolicy, OrderingTables, SearchResult,
-        SelectivityConfig,
     };
     pub use trace::{
         chrome_json, EventKind, SearchReport, SpecSplit, TraceAccess, TraceData, Tracer,

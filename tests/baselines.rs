@@ -166,25 +166,12 @@ fn er_beats_every_baseline_on_checkers_at_sixteen() {
     let depth = 8;
     let order = OrderPolicy::OTHELLO;
     let ab = alphabeta(&pos, depth, order);
-    let er_serial = er_search(
-        &pos,
-        depth,
-        ErConfig {
-            order,
-            sel: SelectivityConfig::OFF,
-        },
-    );
+    let er_serial = er_search(&pos, depth, ErConfig::new(order));
     let sb = cm
         .serial_ticks(&ab.stats)
         .min(cm.serial_ticks(&er_serial.stats));
 
-    let cfg = ErParallelConfig {
-        serial_depth: 5,
-        order,
-        spec: Speculation::ALL,
-        cost: cm,
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(5, order);
     let er = run_er_sim(&pos, depth, 16, &cfg);
     let er_speedup = er.report.speedup(sb);
 

@@ -19,13 +19,7 @@ fn all_values<P: GamePosition>(
     order: OrderPolicy,
 ) -> Vec<(String, Value)> {
     let cost = CostModel::default();
-    let cfg = ErParallelConfig {
-        serial_depth,
-        order,
-        spec: Speculation::ALL,
-        cost,
-        sel: SelectivityConfig::OFF,
-    };
+    let cfg = ErParallelConfig::new(serial_depth, order);
     let mut out = vec![
         ("negmax".to_string(), negmax(pos, depth).value),
         ("alphabeta".to_string(), alphabeta(pos, depth, order).value),
@@ -35,15 +29,7 @@ fn all_values<P: GamePosition>(
         ),
         (
             "serial ER".to_string(),
-            er_search(
-                pos,
-                depth,
-                ErConfig {
-                    order,
-                    sel: SelectivityConfig::OFF,
-                },
-            )
-            .value,
+            er_search(pos, depth, ErConfig::new(order)).value,
         ),
     ];
     for k in [1usize, 3, 7] {

@@ -228,10 +228,7 @@ fn check(
 fn run_matrix<P: GamePosition + Zobrist + Sync>(root: &P, depth: u32, order: OrderPolicy) {
     let oracle = negmax(root, depth).value;
     let w = Window::FULL;
-    let ecfg = ErConfig {
-        order,
-        sel: SelectivityConfig::OFF,
-    };
+    let ecfg = ErConfig::new(order);
 
     // The serial searches, which take every serial hook.
     macro_rules! serial_rows {

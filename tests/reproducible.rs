@@ -18,8 +18,6 @@
 use er_bench::experiments::REFUTATION_ONLY;
 use er_bench::trees::{checkers_tree, othello_trees, random_trees, TreeSpec};
 use er_search::prelude::*;
-use problem_heap::CostModel;
-use search_serial::SelectivityConfig;
 use tt::Zobrist;
 
 const RUNS: usize = 5;
@@ -34,11 +32,8 @@ fn one_thread_run<P: GamePosition + Zobrist>(
     table: Option<&TranspositionTable>,
 ) -> Fingerprint {
     let cfg = ErParallelConfig {
-        serial_depth: tree.serial_depth,
-        order: tree.order,
         spec,
-        cost: CostModel::default(),
-        sel: SelectivityConfig::OFF,
+        ..ErParallelConfig::new(tree.serial_depth, tree.order)
     };
     let (root, depth) = (&tree.root, tree.depth);
     let r = match table {
