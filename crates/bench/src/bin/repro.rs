@@ -758,28 +758,19 @@ fn scaling() {
     cli.finish();
     println!(
         "\n=== Scaling: work-stealing layer (R1, O1; threads {threads:?}) ===\n\
-         (per-worker deques + stealing + adaptive batch above one thread +\n\
-          position arena; counters summed over {} reps per row to damp\n\
-          scheduling noise)",
+         (per-worker deques + stealing + fixed refill batch + position\n\
+          arena; counters summed over {} reps per row to damp scheduling\n\
+          noise)",
         er_bench::experiments::SCALING_REPS
     );
     let rows = scaling_rows(&threads);
     println!(
-        "{:<5} {:>7} {:>8} {:>9} {:>8} {:>7} {:>9} {:>10} {:>6} {:>8}",
-        "tree",
-        "threads",
-        "jobs",
-        "locks",
-        "acq/job",
-        "steals",
-        "stealhits",
-        "wait ns",
-        "+/-",
-        "ms"
+        "{:<5} {:>7} {:>8} {:>9} {:>8} {:>7} {:>9} {:>10} {:>8}",
+        "tree", "threads", "jobs", "locks", "acq/job", "steals", "stealhits", "wait ns", "ms"
     );
     for r in &rows {
         println!(
-            "{:<5} {:>7} {:>8} {:>9} {:>8.3} {:>7} {:>9} {:>10.0} {:>6} {:>8.1}",
+            "{:<5} {:>7} {:>8} {:>9} {:>8.3} {:>7} {:>9} {:>10.0} {:>8.1}",
             r.tree,
             r.threads,
             r.jobs_executed,
@@ -788,7 +779,6 @@ fn scaling() {
             r.steal_attempts,
             r.steal_hits,
             r.mean_lock_wait_nanos,
-            format!("{}/{}", r.batch_grows, r.batch_shrinks),
             r.elapsed_ms
         );
     }

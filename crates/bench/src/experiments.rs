@@ -906,8 +906,8 @@ pub fn one_thread_refutation_rows() -> Vec<ThreadsRow> {
 /// The paper's §3.1 argument is that a single shared problem heap
 /// serializes processors on its lock as they multiply; the counters here
 /// measure that serial fraction on real threads as the work-stealing
-/// layer (per-worker deques, steal-before-park, adaptive batch, position
-/// arena) runs it.
+/// layer (per-worker deques, steal-before-park, fixed refill batch,
+/// position arena) runs it.
 #[derive(Clone, Debug)]
 pub struct ScalingRow {
     /// Table 3 tree name.
@@ -945,10 +945,6 @@ pub struct ScalingRow {
     pub lock_hold_nanos: u64,
     /// Positions published to the lock-free arena (refcount bumps).
     pub arena_publishes: u64,
-    /// Adaptive batch-size increases (0 at one thread).
-    pub batch_grows: u64,
-    /// Adaptive batch-size decreases (0 at one thread).
-    pub batch_shrinks: u64,
     /// Wall-clock milliseconds, summed over reps.
     pub elapsed_ms: f64,
 }
@@ -996,8 +992,6 @@ fn scaling_row<P: GamePosition>(tree: &TreeSpec<P>, threads: usize) -> ScalingRo
         mean_lock_wait_nanos: c.mean_lock_wait_nanos(),
         lock_hold_nanos: c.lock_hold_nanos,
         arena_publishes: c.arena_publishes,
-        batch_grows: c.batch_grows,
-        batch_shrinks: c.batch_shrinks,
         elapsed_ms,
     }
 }
@@ -1495,11 +1489,12 @@ pub struct ChromeExport {
 /// window) — and, being a deepening run, it also pins
 /// IdDepthStart/Finish. StealHit is scheduling-dependent, so bounded
 /// steal-rich rounds, which like every threaded run solve their serial
-/// frontier with alpha-beta, repeat until one survives in a ring. AbortTrip needs a wall-clock budget sized to trip
-/// the R1 run mid-search; budgets are timing-dependent, so the harness
-/// retries across a spread until coverage is total — the *assertions*
-/// on the returned export are about event structure, never timing
-/// margins.
+/// frontier with alpha-beta, repeat until one survives in a ring.
+/// AbortTrip needs a wall-clock budget short enough to trip the R1 run
+/// mid-search; budgets are timing-dependent, so the harness retries
+/// with doubling budgets, shortest first, until coverage is total — the
+/// *assertions* on the returned export are about event structure, never
+/// timing margins.
 pub fn chrome_export(threads: usize) -> ChromeExport {
     use er_parallel::{run_er_threads_id, AspirationConfig, Hooks, SearchControl};
     use gametree::Window;
@@ -1507,7 +1502,9 @@ pub fn chrome_export(threads: usize) -> ChromeExport {
     use trace::{SearchReport, Tracer};
     let spec = &crate::trees::random_trees()[0];
     let cfg = ErParallelConfig::new(spec.serial_depth, spec.order);
-    const BUDGETS_MS: [u64; 12] = [40, 20, 80, 10, 160, 60, 5, 320, 100, 30, 640, 15];
+    // Shortest first: R1's whole deepening can finish in 10-20 ms at four
+    // threads on a 2-vCPU host, so a long first budget rarely trips.
+    const BUDGETS_MS: [u64; 8] = [5, 10, 20, 40, 80, 160, 320, 640];
     // A steal-shaped round landed a ring-surviving hit on its first try in
     // every attempt of ten 4-thread exports on a 2-vCPU host, and ~3 times
     // in 4 on a single-core one; six rounds make an all-miss attempt
@@ -1748,8 +1745,6 @@ impl_to_json!(ScalingRow {
     mean_lock_wait_nanos,
     lock_hold_nanos,
     arena_publishes,
-    batch_grows,
-    batch_shrinks,
     elapsed_ms
 });
 impl_to_json!(DeadlineRow {

@@ -18,14 +18,11 @@
 //!   pops lock-free, and an idle sibling *steals* from the other end
 //!   before ever touching the global mutex. Only tree mutation — `apply`
 //!   plus the select bookkeeping — still takes the lock.
-//! * **Batch sizing from the thread count.** One worker takes a fixed
-//!   [`DEFAULT_BATCH`] jobs per acquisition: with no sibling to contend
-//!   with, timing feedback would only make the schedule (and so the node
-//!   count) vary run to run. Above one thread each worker grows its refill
-//!   batch (up to [`MAX_BATCH`] = `DEFAULT_BATCH * 2`) while lock waits
-//!   are expensive relative to execution, and shrinks it (down to 1) when
-//!   the queues run dry — small batches keep work fresh against the moving
-//!   alpha-beta windows, large ones amortize contention.
+//! * **One fixed refill batch.** Every worker, at every thread count,
+//!   takes up to [`DEFAULT_BATCH`] jobs per acquisition. Nothing is timed
+//!   or tuned, as the paper's processors take work from the problem heap
+//!   with nothing to tune; an idle sibling shares a long refill by
+//!   stealing from the owner's deque.
 //! * **Speculation only on starvation.** A refill tops its batch up from
 //!   the primary queue alone; it may promote a speculative e-child only
 //!   while its take is still empty ([`ErWorker::select`]'s `speculate`
@@ -35,9 +32,9 @@
 //!   e-nodes leave the schedule untouched.
 //!
 //! Each thread runs one `Worker`, whose round is a lock round (apply,
-//! refill, park), an execute phase (own jobs, then stolen ones) and a batch
-//! adaptation. Finishing, aborting and panicking workers all leave through
-//! one stop path that sets the run's one done flag (DESIGN.md §9).
+//! refill, park) and an execute phase (own jobs, then stolen ones).
+//! Finishing, aborting and panicking workers all leave through one stop
+//! path that sets the run's one done flag (DESIGN.md §9).
 //!
 //! Stealing is on whenever there is a sibling to steal from. Idle threads
 //! park on a condition variable only after a failed steal sweep; a thread
@@ -56,11 +53,10 @@
 //! serial-frontier jobs (the probe rides into `execute_task`); cheap
 //! leaf/movegen jobs carry no check of their own — a full round of them
 //! runs in microseconds, so the round-top poll bounds the latency without
-//! taxing the execute hot loop the adaptive batcher times. Task execution
-//! runs under
-//! `catch_unwind`, so a panicking evaluator trips the token instead of
-//! unwinding through the pool, and the worker loop runs under a second one
-//! that catches anything escaping it. A worker that observes a trip — its
+//! taxing the execute hot loop. Task execution runs under `catch_unwind`,
+//! so a panicking evaluator trips the token instead of unwinding through
+//! the pool, and the worker loop runs under a second one that catches
+//! anything escaping it. A worker that observes a trip — its
 //! own or a sibling's — discards its buffered outcomes (counted as
 //! `jobs_aborted`; a partial result must never reach the shared tree or
 //! table), takes the stop path under a poison-tolerant lock, and returns
@@ -100,16 +96,18 @@ use crate::tree::NodeId;
 /// to amortize the acquisition; see DESIGN.md §7.
 pub const DEFAULT_BATCH: usize = 8;
 
-/// Ceiling of the adaptive batch range, and the most outcomes a thread
-/// buffers before flushing them to the tree.
+/// The most outcomes a thread buffers before flushing them to the tree:
+/// a worker stops stealing once its buffer holds this many. A refill takes
+/// at most [`DEFAULT_BATCH`], so only stolen jobs can fill the rest.
 pub const MAX_BATCH: usize = DEFAULT_BATCH * 2;
 
-/// Per-worker deque capacity: must exceed [`MAX_BATCH`] (a refill only
-/// happens into an empty deque, so `push` can never fail).
+/// Per-worker deque capacity: must exceed a refill, at most
+/// [`DEFAULT_BATCH`] jobs (a refill only happens into an empty deque, so
+/// `push` can never fail).
 const DEQUE_CAP: usize = MAX_BATCH * 2;
 
 /// The threaded back-end's execution settings, of which there are none:
-/// the batch rule and stealing follow from the thread count alone.
+/// the refill batch is fixed and stealing follows from the thread count.
 ///
 /// The type survives only because the benchmark's adapter calls
 /// [`run_er_threads_exec`] with `ThreadsConfig::default()`; once that
@@ -223,8 +221,8 @@ impl<P: GamePosition, T, R, O> Pool<'_, P, T, R, O> {
         self.done.load(SeqCst)
     }
 
-    /// Siblings to steal from and to contend with: only then does the batch
-    /// adapt, so a one-thread run is reproducible to the node.
+    /// Siblings to steal from: only then does a worker steal or take a steal
+    /// pass, so a one-thread run is reproducible to the node.
     fn contended(&self) -> bool {
         self.stealers.len() > 1
     }
@@ -241,8 +239,8 @@ impl<P: GamePosition, T, R, O> Pool<'_, P, T, R, O> {
 }
 
 /// One worker thread: its deque, its recorders and the state it keeps
-/// across rounds. Each round is one lock round (apply, refill, park), one
-/// execute phase (own jobs, then stolen ones) and one batch adaptation.
+/// across rounds. Each round is one lock round (apply, refill, park) and
+/// one execute phase (own jobs, then stolen ones).
 struct Worker<'a, P: GamePosition, T, R: TraceAccess, O> {
     pool: &'a Pool<'a, P, T, R, O>,
     me: usize,
@@ -258,19 +256,11 @@ struct Worker<'a, P: GamePosition, T, R: TraceAccess, O> {
     /// Refill staging buffer, reused every round (`pop_batch_into` style:
     /// no per-round allocation).
     take: Vec<JobRef>,
-    /// Current refill-batch target.
-    batch_target: usize,
     /// One free pass to skip parking and try a steal sweep instead. Granted
     /// after productive rounds and wake-ups, consumed by the skip — so a
     /// worker that keeps failing to steal parks on its next empty round
     /// instead of spinning on the lock.
     steal_pass: bool,
-    /// Consecutive rounds that met the shrink condition (scarce refill on a
-    /// cheap lock). Shrinking waits for two in a row: a single short refill
-    /// is usually a transient (a sibling just drained the queues), and
-    /// halving the batch on it doubles acquisitions for no sharing gain —
-    /// idle siblings already steal from the owner's deque.
-    scarce_streak: u32,
 }
 
 impl<'a, P, T, R, O> Worker<'a, P, T, R, O>
@@ -289,10 +279,8 @@ where
             wtr: pool.hooks.tracer.worker(me),
             counters: ThreadCounters::default(),
             ready: Vec::with_capacity(MAX_BATCH),
-            take: Vec::with_capacity(DEQUE_CAP),
-            batch_target: DEFAULT_BATCH,
+            take: Vec::with_capacity(DEFAULT_BATCH),
             steal_pass: pool.contended(),
-            scarce_streak: 0,
         }
     }
 
@@ -302,13 +290,16 @@ where
         // Poll the token before flushing outcomes: once it trips, nothing
         // more may be applied to the tree.
         while self.probe.check().is_none() {
-            let Some((waited, refilled)) = self.lock_round() else {
+            if !self.lock_round() {
                 return self.finish();
-            };
-            let Some((executed, execd)) = self.execute() else {
+            }
+            let Some(executed) = self.execute() else {
                 break;
             };
-            self.adapt(waited, refilled, executed, execd);
+            // A productive round earns a fresh steal pass.
+            if executed > 0 {
+                self.steal_pass = self.pool.contended();
+            }
         }
         // Abort protocol: discard everything local — a partial run's
         // outcomes must not touch the tree — counting it as aborted.
@@ -329,10 +320,10 @@ where
     }
 
     /// The locked phase: apply the buffered outcomes, refill the take, and
-    /// park while the queues are dry. Returns the lock wait and the refill
-    /// size, or `None` once the run is done (unexecuted deque jobs are
-    /// simply abandoned; they were never counted as executed).
-    fn lock_round(&mut self) -> Option<(u64, usize)> {
+    /// park while the queues are dry. Returns `false` once the run is done
+    /// (unexecuted deque jobs are simply abandoned; they were never counted
+    /// as executed).
+    fn lock_round(&mut self) -> bool {
         let pool = self.pool;
         let waiting = Instant::now();
         let mut g = pool.lock();
@@ -385,14 +376,13 @@ where
             let depth = g.worker.queue_len() as u32;
             self.wtr.instant(EventKind::QueueDepth, depth);
         }
-        let refilled = self.take.len();
-        let arg = if done { 0 } else { refilled as u32 };
+        let arg = if done { 0 } else { self.take.len() as u32 };
         self.counters.lock_hold_nanos += held + self.hold_segment(holding, arg);
         drop(g);
         // The distribution is recorded outside the critical section, once
         // per acquisition.
         self.counters.lock_waits.record(waited);
-        (!done).then_some((waited, refilled))
+        !done
     }
 
     /// Ends a stretch of holding the lock that began at `from`: traces it
@@ -403,11 +393,11 @@ where
         hold
     }
 
-    /// Tops the take up to the batch target. Speculates only on
+    /// Tops the take up to [`DEFAULT_BATCH`] jobs. Speculates only on
     /// starvation: once the take holds a job, an empty primary queue ends
     /// the refill instead of promoting a speculative e-child.
     fn refill(&mut self, heap: &mut ErWorker<P>) {
-        while self.take.len() < self.batch_target {
+        while self.take.len() < DEFAULT_BATCH {
             match heap.select(self.take.is_empty()) {
                 Select::Job(job) => self.take.push((job.id, job.task)),
                 Select::JustFinished => {
@@ -440,15 +430,14 @@ where
 
     /// The execute phase, entirely outside the lock: the take first, then
     /// stolen jobs until the outcome buffer justifies an acquisition.
-    /// Returns the jobs executed and the nanoseconds spent, or `None` when
-    /// a job produced no applicable outcome.
-    fn execute(&mut self) -> Option<(u64, u64)> {
+    /// Returns the jobs executed, or `None` when a job produced no
+    /// applicable outcome.
+    fn execute(&mut self) -> Option<u64> {
         // Reverse push so the owner pops in scheduler priority order while
         // thieves take the oldest (lowest-priority) jobs from the far end.
         for jr in self.take.drain(..).rev() {
             self.own.push(jr).expect("deque capacity exceeds max batch");
         }
-        let executing = Instant::now();
         let mut executed = 0u64;
         while let Some(job) = self.next_job() {
             if !self.run_job(job) {
@@ -459,7 +448,7 @@ where
                 break;
             }
         }
-        Some((executed, executing.elapsed().as_nanos() as u64))
+        Some(executed)
     }
 
     /// The next job to execute: the owner's own, else (with siblings, a
@@ -528,37 +517,6 @@ where
         }
         self.ready.push((id, outcome));
         true
-    }
-
-    /// Adapts the batch target for the next round (above one thread only).
-    fn adapt(&mut self, waited: u64, refilled: usize, executed: u64, execd: u64) {
-        let contended = self.pool.contended();
-        if contended && executed > 0 {
-            if waited * 4 >= execd && self.batch_target < MAX_BATCH {
-                // Lock waits cost >= 25% of execution: amortize harder.
-                self.batch_target = (self.batch_target * 2).min(MAX_BATCH);
-                self.counters.batch_grows += 1;
-                self.scarce_streak = 0;
-            } else if refilled * 2 < self.batch_target
-                && waited * 16 < execd
-                && self.batch_target > 1
-            {
-                // Queues are scarce and the lock is cheap: smaller batches
-                // keep windows fresh. Demand the signal twice in a row
-                // before paying for it (see `scarce_streak`).
-                self.scarce_streak += 1;
-                if self.scarce_streak >= 2 {
-                    self.batch_target /= 2;
-                    self.counters.batch_shrinks += 1;
-                    self.scarce_streak = 0;
-                }
-            } else {
-                self.scarce_streak = 0;
-            }
-        }
-        if executed > 0 {
-            self.steal_pass = contended;
-        }
     }
 }
 
@@ -840,14 +798,31 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_batching_adjusts_and_stays_correct() {
-        let root = RandomTreeSpec::new(18, 4, 8).root();
-        let exact = negmax(&root, 8).value;
-        let r = run_er_threads(&root, 8, 4, &ErParallelConfig::random_tree(3));
-        assert_eq!(r.value, exact);
-        let c = r.counters();
-        // The adaptive controller ran (its counters merged), whichever
-        // direction this host's timings pushed it.
-        assert_eq!(c.jobs_executed, c.outcomes_applied);
+    fn every_refill_takes_at_most_the_fixed_batch() {
+        // R1's shape (degree 4, 10 plies, serial depth 7). Each lock hold
+        // that ends a refill carries the refill's size as its argument, so
+        // no thread count may take more than `DEFAULT_BATCH` jobs at once.
+        let root = RandomTreeSpec::new(1, 4, 10).root();
+        let exact = negmax(&root, 10).value;
+        let cfg = ErParallelConfig::random_tree(7);
+        for threads in [2usize, 4, 8] {
+            let tracer = trace::Tracer::new();
+            let hooks = Hooks::default().with_tracer(&tracer);
+            let r = run_er_threads_with(&root, 10, Window::FULL, threads, &cfg, hooks)
+                .expect("an unlimited run cannot abort");
+            assert_eq!(r.value, exact, "threads {threads}");
+            let data = tracer.snapshot();
+            let holds: Vec<u32> = data
+                .all_events()
+                .filter(|e| e.kind == EventKind::LockHold)
+                .map(|e| e.arg)
+                .collect();
+            assert!(!holds.is_empty(), "threads {threads}: no lock hold traced");
+            let largest = holds.iter().copied().max().unwrap_or(0);
+            assert!(
+                largest as usize <= DEFAULT_BATCH,
+                "threads {threads}: a refill took {largest} jobs"
+            );
+        }
     }
 }

@@ -4,12 +4,11 @@
 //!
 //! Root *values* are compared at every thread count — they are
 //! scheduling-independent. Examined-node *counts* are compared only where
-//! the back-end itself is deterministic: one worker, which takes a fixed
-//! batch and has no sibling to steal from (multi-thread node counts vary
-//! run to run with OS scheduling, traced or not, and adaptive batching
-//! sizes batches from observed timings). The workspace hook matrix (`tests/hook_matrix.rs`) repeats
-//! these checks for every hooked entry; the bounded-ring overwrite tests
-//! live in `trace::ring`.
+//! the back-end itself is deterministic: one worker, which has no sibling
+//! to steal from (multi-thread node counts vary run to run with OS
+//! scheduling, traced or not). The workspace hook matrix
+//! (`tests/hook_matrix.rs`) repeats these checks for every hooked entry;
+//! the bounded-ring overwrite tests live in `trace::ring`.
 
 use er_parallel::{
     run_er_threads, run_er_threads_id, run_er_threads_with, AspirationConfig, ErParallelConfig,

@@ -80,10 +80,6 @@ pub struct ThreadCounters {
     /// while this thread held the lock: each moved in once, when its
     /// parent's move list was applied, never cloned.
     pub arena_publishes: u64,
-    /// Adaptive-batch upward adjustments.
-    pub batch_grows: u64,
-    /// Adaptive-batch downward adjustments.
-    pub batch_shrinks: u64,
     /// Jobs whose outcomes were discarded by the abort protocol (deadline,
     /// cancellation, or worker panic) instead of being applied.
     pub jobs_aborted: u64,
@@ -104,8 +100,6 @@ impl ThreadCounters {
         self.lock_waits.merge(&other.lock_waits);
         self.lock_hold_nanos += other.lock_hold_nanos;
         self.arena_publishes += other.arena_publishes;
-        self.batch_grows += other.batch_grows;
-        self.batch_shrinks += other.batch_shrinks;
         self.jobs_aborted += other.jobs_aborted;
     }
 
@@ -172,12 +166,12 @@ impl<'a> std::iter::Sum<&'a ThreadCounters> for ThreadCounters {
 impl std::fmt::Display for ThreadCounters {
     /// One-line contention summary used by the bench output, e.g.
     /// `acq/job 0.14 | steal 23/410 (5.6%) | park 7/wake 5 | aborted 0 |
-    /// wait 312ns/acq | hold 187ns/acq | batch +3/-1`.
+    /// wait 312ns/acq | hold 187ns/acq`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
             "acq/job {:.3} | steal {}/{} ({:.1}%) | park {}/wake {} | aborted {} | \
-             wait {:.0}ns/acq | hold {:.0}ns/acq | batch +{}/-{}",
+             wait {:.0}ns/acq | hold {:.0}ns/acq",
             self.acquisitions_per_job(),
             self.steal_hits,
             self.steal_attempts,
@@ -187,8 +181,6 @@ impl std::fmt::Display for ThreadCounters {
             self.jobs_aborted,
             self.mean_lock_wait_nanos(),
             self.mean_lock_hold_nanos(),
-            self.batch_grows,
-            self.batch_shrinks,
         )
     }
 }
@@ -314,8 +306,6 @@ mod tests {
             lock_wait_nanos: 1000,
             lock_hold_nanos: 2000,
             arena_publishes: 12,
-            batch_grows: 1,
-            batch_shrinks: 0,
             jobs_aborted: 2,
             lock_waits: waits(&[400, 600]),
         };
@@ -331,8 +321,6 @@ mod tests {
             lock_wait_nanos: 500,
             lock_hold_nanos: 300,
             arena_publishes: 3,
-            batch_grows: 0,
-            batch_shrinks: 2,
             jobs_aborted: 1,
             lock_waits: waits(&[500]),
         };
@@ -345,8 +333,6 @@ mod tests {
         assert_eq!(a.lock_wait_nanos, 1500);
         assert_eq!(a.lock_hold_nanos, 2300);
         assert_eq!(a.arena_publishes, 15);
-        assert_eq!(a.batch_grows, 1);
-        assert_eq!(a.batch_shrinks, 2);
         assert_eq!(a.jobs_aborted, 3);
         assert_eq!(a.lock_waits, waits(&[400, 600, 500]));
         assert!((a.jobs_per_acquisition() - 50.0 / 15.0).abs() < 1e-12);
@@ -370,8 +356,6 @@ mod tests {
             steal_hits: 2,
             lock_wait_nanos: 1000,
             lock_hold_nanos: 2500,
-            batch_grows: 1,
-            batch_shrinks: 2,
             idle_parks: 7,
             wakeups: 5,
             jobs_aborted: 3,
@@ -385,7 +369,6 @@ mod tests {
         assert!(s.contains("aborted 3"), "got: {s}");
         assert!(s.contains("wait 100ns/acq"), "got: {s}");
         assert!(s.contains("hold 250ns/acq"), "got: {s}");
-        assert!(s.contains("batch +1/-2"), "got: {s}");
     }
 
     #[test]
@@ -399,8 +382,6 @@ mod tests {
             steal_hits: 2,
             lock_wait_nanos: 1000,
             lock_hold_nanos: 1500,
-            batch_grows: 1,
-            batch_shrinks: 2,
             idle_parks: 7,
             wakeups: 5,
             jobs_aborted: 3,
@@ -409,12 +390,12 @@ mod tests {
         assert_eq!(
             format!("{c}"),
             "acq/job 0.250 | steal 2/8 (25.0%) | park 7/wake 5 | aborted 3 | \
-             wait 100ns/acq | hold 150ns/acq | batch +1/-2"
+             wait 100ns/acq | hold 150ns/acq"
         );
         assert_eq!(
             format!("{}", ThreadCounters::default()),
             "acq/job 0.000 | steal 0/0 (0.0%) | park 0/wake 0 | aborted 0 | \
-             wait 0ns/acq | hold 0ns/acq | batch +0/-0"
+             wait 0ns/acq | hold 0ns/acq"
         );
     }
 

@@ -17,7 +17,7 @@
 //!   read most of the time (refreshing every [`AMORTIZE_PERIOD`] instants)
 //!   and spans reuse `Instant`s the execution layer already takes for its
 //!   contention counters, so tracing adds almost no clock traffic to the
-//!   loop the adaptive batcher times.
+//!   worker loop.
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

@@ -58,9 +58,9 @@
 //!
 //! // Parallel ER on 4 real OS threads; the result carries per-thread
 //! // contention counters. The execution layer has no settings
-//! // (DESIGN.md §9): several threads steal from each other and adapt
-//! // their batch to lock contention, while one thread takes a fixed
-//! // batch and so repeats its schedule to the node.
+//! // (DESIGN.md §9): every thread takes the same fixed batch, several
+//! // threads steal from each other, and one thread, with no sibling to
+//! // steal from, repeats its schedule to the node.
 //! let cfg = ErParallelConfig::random_tree(4);
 //! let thr = run_er_threads(&root, 8, 4, &cfg);
 //! assert_eq!(thr.value, ab.value);
